@@ -2,13 +2,15 @@
 //! AES-NI/PCLMULQDQ, for every primitive the secure channel leans on.
 //!
 //! Criterion tracks wall-clock for both backends side by side (single
-//! block encrypt, bulk CTR keystream, GHASH, full GCM seal). Separately,
-//! best-of-5 timed loops print `engine-events-per-sec` lines for the CI
-//! floor gate — absolute hardware throughput in bytes/sec plus the
-//! hw-over-soft speedup ratios, which is how the "≥4× on bulk keystream
-//! and GHASH" acceptance bar stays pinned. The hardware lines only print
-//! when the CPU has the features; the floor file assumes an AES-NI host
-//! (every x86_64 CI runner qualifies).
+//! block encrypt, bulk CTR keystream, GHASH, full GCM seal, and the
+//! protocol's 64 B seal/open). Separately, best-of-5 timed loops print
+//! `engine-events-per-sec` lines for the CI floor gate — absolute
+//! hardware throughput in bytes/sec, the hw-over-soft speedup ratios
+//! (which is how the "≥4× on bulk keystream and GHASH" acceptance bar
+//! stays pinned), and hardware 64 B seals and opens per second, so the
+//! per-message path is gated and not only 4 KiB throughput. The hardware
+//! lines only print when the CPU has the features; the floor file
+//! assumes an AES-NI host (every x86_64 CI runner qualifies).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mgpu_crypto::aes::{Aes128, Block};
@@ -25,6 +27,11 @@ const BULK_BYTES: usize = 4096;
 const BULK_BLOCKS: usize = BULK_BYTES / 16;
 
 const KEY: [u8; 16] = [0x42; 16];
+
+/// One protected block: a 64 B cacheline under the channel's 12 B header
+/// (which doubles as the nonce).
+const BLOCK: usize = 64;
+const HEADER: [u8; 12] = [9u8; 12];
 
 fn backends() -> Vec<Backend> {
     let mut v = vec![Backend::Soft];
@@ -68,6 +75,25 @@ fn ghash_bps(backend: Backend) -> f64 {
     })
 }
 
+/// Best-of-5 64 B seals (or verify-then-decrypt opens) per second through
+/// the in-place core, with the 8 B tag the protocol keeps.
+fn short_ops_per_sec(backend: Backend, open: bool) -> f64 {
+    let gcm = AesGcm::with_backend(&KEY, backend);
+    let mut block = [0x3Cu8; BLOCK];
+    let tag = gcm.seal_in_place_detached(&HEADER, &HEADER, &mut block);
+    let sealed = block;
+    peak_bps(1, 200_000, || {
+        if open {
+            let mut buf = sealed;
+            gcm.open_in_place_detached(&HEADER, &HEADER, black_box(&mut buf), &tag[..8])
+                .expect("authentic block");
+            black_box(buf);
+        } else {
+            black_box(gcm.seal_in_place_detached(&HEADER, &HEADER, black_box(&mut block)));
+        }
+    })
+}
+
 fn bench_crypto_backends(c: &mut Criterion) {
     let seed = PadSeed::new(1, 2, 99);
     for backend in backends() {
@@ -104,6 +130,20 @@ fn bench_crypto_backends(c: &mut Criterion) {
             let mut ct = Vec::with_capacity(BULK_BYTES);
             b.iter(|| gcm.seal_detached_into(&[9u8; 12], b"hdr", black_box(&pt), &mut ct));
         });
+        group.bench_function("seal-64B", |b| {
+            let mut block = [0x3Cu8; BLOCK];
+            b.iter(|| gcm.seal_in_place_detached(&HEADER, &HEADER, black_box(&mut block)));
+        });
+        group.bench_function("open-64B", |b| {
+            let mut sealed = [0x3Cu8; BLOCK];
+            let tag = gcm.seal_in_place_detached(&HEADER, &HEADER, &mut sealed);
+            b.iter(|| {
+                let mut buf = sealed;
+                gcm.open_in_place_detached(&HEADER, &HEADER, black_box(&mut buf), &tag[..8])
+                    .expect("authentic block");
+                buf
+            });
+        });
         group.finish();
     }
 
@@ -124,6 +164,10 @@ fn bench_crypto_backends(c: &mut Criterion) {
             "engine-events-per-sec clmul_ghash_speedup {:.2} (hw over soft, 4 KiB)",
             hw_gh / soft_gh
         );
+        for (label, open) in [("gcm-seal-64B", false), ("gcm-open-64B", true)] {
+            let ops = short_ops_per_sec(Backend::HwAesClmul, open);
+            println!("engine-events-per-sec {label} {ops:.0} (ops/s, 12 B header, 8 B tag)");
+        }
         println!("crypto-backend-features {}", cpu_features().join(","));
     } else {
         println!("crypto-backend hw unavailable: skipping aesni_*/clmul_* floor lines");

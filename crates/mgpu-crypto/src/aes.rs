@@ -15,7 +15,7 @@
 //!   correctness oracle.
 //! * **Hardware** — `x86_64` AES-NI ([`crate::aesni`]): `aeskeygenassist`
 //!   key schedule and an 8-block interleaved `aesenc` pipeline behind
-//!   [`Aes128::encrypt_blocks`]. Bit-for-bit equal to the software path,
+//!   [`Aes128::encrypt_counters`]. Bit-for-bit equal to the software path,
 //!   constant-time by construction, and ~an order of magnitude faster on
 //!   bulk keystream.
 //!
@@ -233,6 +233,12 @@ impl Aes128 {
         self.backend
     }
 
+    /// The expanded FIPS-197 schedule, for the fused AES-GCM kernel.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn round_keys(&self) -> &[[u8; 16]; 11] {
+        &self.round_keys
+    }
+
     /// Encrypts one 16-byte block.
     #[must_use]
     pub fn encrypt_block(&self, state: Block) -> Block {
@@ -276,22 +282,30 @@ impl Aes128 {
         out
     }
 
-    /// Encrypts every block in `blocks` in place.
+    /// Encrypts the counter blocks `nonce ‖ be32(first + i)` for
+    /// `i = 0, 1, …` into `out`, the 32-bit counter wrapping: the CTR
+    /// keystream of a 96-bit nonce, stepped as GCM's `inc32` steps it
+    /// (SP 800-38D §6.2).
     ///
     /// This is the bulk entry point behind keystream and pad generation:
     /// one call amortizes the per-call overhead across a whole refill, and
     /// on the hardware backend runs the 8-block interleaved AES-NI
     /// pipeline (CTR counters are independent, so blocks need no
     /// chaining).
-    pub fn encrypt_blocks(&self, blocks: &mut [Block]) {
+    pub fn encrypt_counters(&self, nonce: &[u8; 12], first: u32, out: &mut [Block]) {
         match self.backend {
             Backend::Soft => {
-                for block in blocks.iter_mut() {
-                    *block = self.encrypt_block_soft(*block);
+                let mut counter = [0u8; 16];
+                counter[..12].copy_from_slice(nonce);
+                for (i, block) in out.iter_mut().enumerate() {
+                    counter[12..].copy_from_slice(&first.wrapping_add(i as u32).to_be_bytes());
+                    *block = self.encrypt_block_soft(counter);
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            Backend::HwAesClmul => crate::aesni::encrypt_blocks(&self.round_keys, blocks),
+            Backend::HwAesClmul => {
+                crate::aesni::encrypt_counters(&self.round_keys, nonce, first, out);
+            }
             #[cfg(not(target_arch = "x86_64"))]
             Backend::HwAesClmul => unreachable!("hw backend unavailable off x86_64"),
         }
@@ -541,12 +555,17 @@ mod tests {
     }
 
     #[test]
-    fn encrypt_blocks_matches_single_block_calls() {
+    fn encrypt_counters_matches_single_block_calls() {
         let aes = Aes128::new(&[0x42; 16]);
-        let mut blocks: Vec<Block> = (0..33u8).map(|i| [i; 16]).collect();
-        let expected: Vec<Block> = blocks.iter().map(|&b| aes.encrypt_block(b)).collect();
-        aes.encrypt_blocks(&mut blocks);
-        assert_eq!(blocks, expected);
+        let nonce = [0x17; 12];
+        let mut blocks = vec![[0u8; 16]; 33];
+        aes.encrypt_counters(&nonce, 7, &mut blocks);
+        for (i, block) in blocks.iter().enumerate() {
+            let mut counter = [0u8; 16];
+            counter[..12].copy_from_slice(&nonce);
+            counter[12..].copy_from_slice(&(7 + i as u32).to_be_bytes());
+            assert_eq!(*block, aes.encrypt_block(counter), "block {i}");
+        }
     }
 
     #[test]

@@ -29,7 +29,8 @@
 use crate::aes::Block;
 use core::arch::x86_64::{
     __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_aeskeygenassist_si128, _mm_loadu_si128,
-    _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_si128, _mm_storeu_si128, _mm_xor_si128,
+    _mm_set_epi32, _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_si128, _mm_storeu_si128,
+    _mm_xor_si128,
 };
 
 /// Number of independent blocks kept in flight by the bulk pipeline.
@@ -114,23 +115,55 @@ pub fn encrypt_block(round_keys: &[[u8; 16]; 11], block: Block) -> Block {
     unsafe { encrypt_block_impl(round_keys, block) }
 }
 
-/// Encrypts every block in `blocks` in place, 8 blocks interleaved.
+/// Encrypts the counter blocks `nonce ‖ be32(first + i)` for
+/// `i = 0, 1, …` into `out`, the 32-bit counter wrapping — the CTR
+/// keystream of a 96-bit nonce, as GCM's `inc32` steps it.
 ///
 /// This is the bulk entry point behind CTR keystream and OTP pad refill:
-/// the blocks are independent counter values, so the pipeline runs at
-/// `aesenc` throughput instead of its latency.
+/// the blocks are independent counter values, so the 8-block interleaved
+/// pipeline runs at `aesenc` throughput instead of its latency. The
+/// counters are built in a register from the nonce's words and written
+/// with whole-block stores, so the encryption's loads forward straight
+/// from those stores; counter blocks assembled byte-wise in memory stall
+/// every such load instead.
 ///
 /// # Panics
 ///
 /// Panics if the CPU does not support AES-NI.
-pub fn encrypt_blocks(round_keys: &[[u8; 16]; 11], blocks: &mut [Block]) {
+pub fn encrypt_counters(
+    round_keys: &[[u8; 16]; 11],
+    nonce: &[u8; 12],
+    first: u32,
+    out: &mut [Block],
+) {
     assert!(available(), "AES-NI encryption without CPU support");
     // SAFETY: feature gate — `available()` verified AES-NI support above.
-    unsafe { encrypt_blocks_impl(round_keys, blocks) }
+    unsafe { encrypt_counters_impl(round_keys, nonce, first, out) }
 }
 
 #[target_feature(enable = "aes")]
-fn load_schedule(round_keys: &[[u8; 16]; 11]) -> [__m128i; 11] {
+fn encrypt_counters_impl(
+    round_keys: &[[u8; 16]; 11],
+    nonce: &[u8; 12],
+    first: u32,
+    out: &mut [Block],
+) {
+    let word = |i: usize| i32::from_ne_bytes(nonce[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+    let (w0, w1, w2) = (word(0), word(1), word(2));
+    let mut counter = first;
+    for block in out.iter_mut() {
+        // Lane 3 holds bytes 12..16: the counter, big-endian.
+        let lane3 = i32::from_ne_bytes(counter.to_be_bytes());
+        let reg = _mm_set_epi32(lane3, w2, w1, w0);
+        // SAFETY: unaligned store — `block` is a live 16-byte buffer.
+        unsafe { _mm_storeu_si128(block.as_mut_ptr().cast::<__m128i>(), reg) };
+        counter = counter.wrapping_add(1);
+    }
+    encrypt_blocks_impl(round_keys, out);
+}
+
+#[target_feature(enable = "aes")]
+pub(crate) fn load_schedule(round_keys: &[[u8; 16]; 11]) -> [__m128i; 11] {
     let mut keys = [_mm_setzero_si128(); 11];
     for (reg, bytes) in keys.iter_mut().zip(round_keys) {
         // SAFETY: unaligned load — each round key is a live 16-byte array.
@@ -141,57 +174,64 @@ fn load_schedule(round_keys: &[[u8; 16]; 11]) -> [__m128i; 11] {
 
 #[target_feature(enable = "aes")]
 fn encrypt_block_impl(round_keys: &[[u8; 16]; 11], block: Block) -> Block {
-    let keys = load_schedule(round_keys);
-    // SAFETY: unaligned load — `block` is a live 16-byte array.
-    let mut s = unsafe { _mm_loadu_si128(block.as_ptr().cast::<__m128i>()) };
-    s = _mm_xor_si128(s, keys[0]);
-    for key in &keys[1..10] {
-        s = _mm_aesenc_si128(s, *key);
-    }
-    s = _mm_aesenclast_si128(s, keys[10]);
-    let mut out = [0u8; 16];
-    // SAFETY: unaligned store — `out` is a live 16-byte buffer.
-    unsafe { _mm_storeu_si128(out.as_mut_ptr().cast::<__m128i>(), s) };
-    out
+    let mut one = [block];
+    encrypt_lanes(&load_schedule(round_keys), &mut one);
+    one[0]
 }
 
 #[target_feature(enable = "aes")]
 fn encrypt_blocks_impl(round_keys: &[[u8; 16]; 11], blocks: &mut [Block]) {
     let keys = load_schedule(round_keys);
-    let mut chunks = blocks.chunks_exact_mut(PIPELINE);
-    for chunk in &mut chunks {
-        let mut s = [keys[0]; PIPELINE];
-        for (reg, block) in s.iter_mut().zip(chunk.iter()) {
-            // SAFETY: unaligned load — each chunk element is a live
-            // 16-byte array.
-            let loaded = unsafe { _mm_loadu_si128(block.as_ptr().cast::<__m128i>()) };
-            *reg = _mm_xor_si128(loaded, keys[0]);
-        }
-        // Interleaved rounds: all 8 streams advance one round before any
-        // stream advances two, so consecutive `aesenc` on one stream are
-        // 8 instructions apart — beyond the instruction's latency.
-        for key in &keys[1..10] {
-            for reg in &mut s {
-                *reg = _mm_aesenc_si128(*reg, *key);
+    let (groups, tail) = blocks.as_chunks_mut::<PIPELINE>();
+    for group in groups {
+        encrypt_lanes(&keys, group);
+    }
+    // The tail is interleaved too, so a run shorter than the pipeline — a
+    // 4-block cacheline pad, a message's last keystream chunk — costs one
+    // round-latency chain, not one per block.
+    macro_rules! tail {
+        ($($n:literal),*) => {
+            match tail.len() {
+                $($n => encrypt_lanes::<$n>(&keys, tail.try_into().expect("tail length")),)*
+                _ => {}
             }
-        }
-        for (reg, block) in s.iter_mut().zip(chunk.iter_mut()) {
-            *reg = _mm_aesenclast_si128(*reg, keys[10]);
-            // SAFETY: unaligned store — each chunk element is a live
-            // 16-byte buffer.
-            unsafe { _mm_storeu_si128(block.as_mut_ptr().cast::<__m128i>(), *reg) };
+        };
+    }
+    tail!(1, 2, 3, 4, 5, 6, 7);
+}
+
+/// Encrypts `N` independent blocks in place, rounds interleaved (see
+/// [`encrypt_regs`]).
+#[target_feature(enable = "aes")]
+fn encrypt_lanes<const N: usize>(keys: &[__m128i; 11], blocks: &mut [Block; N]) {
+    let mut s = [_mm_setzero_si128(); N];
+    for (reg, block) in s.iter_mut().zip(blocks.iter()) {
+        // SAFETY: unaligned load — each element is a live 16-byte array.
+        *reg = unsafe { _mm_loadu_si128(block.as_ptr().cast::<__m128i>()) };
+    }
+    encrypt_regs(keys, &mut s);
+    for (reg, block) in s.iter().zip(blocks.iter_mut()) {
+        // SAFETY: unaligned store — each element is a live 16-byte buffer.
+        unsafe { _mm_storeu_si128(block.as_mut_ptr().cast::<__m128i>(), *reg) };
+    }
+}
+
+/// Encrypts `N` independent blocks held in registers, rounds interleaved:
+/// all `N` streams advance one round before any stream advances two, so
+/// consecutive `aesenc` on one stream are `N` instructions apart — beyond
+/// the instruction's latency once `N` reaches the pipeline depth.
+#[target_feature(enable = "aes")]
+pub(crate) fn encrypt_regs<const N: usize>(keys: &[__m128i; 11], s: &mut [__m128i; N]) {
+    for reg in s.iter_mut() {
+        *reg = _mm_xor_si128(*reg, keys[0]);
+    }
+    for key in &keys[1..10] {
+        for reg in s.iter_mut() {
+            *reg = _mm_aesenc_si128(*reg, *key);
         }
     }
-    for block in chunks.into_remainder() {
-        // SAFETY: unaligned load — `block` is a live 16-byte array.
-        let mut s = unsafe { _mm_loadu_si128(block.as_ptr().cast::<__m128i>()) };
-        s = _mm_xor_si128(s, keys[0]);
-        for key in &keys[1..10] {
-            s = _mm_aesenc_si128(s, *key);
-        }
-        s = _mm_aesenclast_si128(s, keys[10]);
-        // SAFETY: unaligned store — `block` is a live 16-byte buffer.
-        unsafe { _mm_storeu_si128(block.as_mut_ptr().cast::<__m128i>(), s) };
+    for reg in s.iter_mut() {
+        *reg = _mm_aesenclast_si128(*reg, keys[10]);
     }
 }
 
@@ -234,13 +274,18 @@ mod tests {
             return;
         }
         let rk = expand_key(&[0x42; 16]);
-        // Lengths straddling the 8-block pipeline: empty, sub-pipeline,
-        // exact multiples, and pipeline + remainder.
-        for len in [0usize, 1, 7, 8, 9, 16, 23] {
-            let mut blocks: Vec<Block> = (0..len).map(|i| [i as u8; 16]).collect();
-            let expected: Vec<Block> = blocks.iter().map(|&b| encrypt_block(&rk, b)).collect();
-            encrypt_blocks(&rk, &mut blocks);
-            assert_eq!(blocks, expected, "len={len}");
+        let nonce = [0x5E; 12];
+        // Every length up to two pipelines plus a remainder, so each tail
+        // width 0..8 runs after zero, one and two full groups.
+        for len in 0..=23usize {
+            let mut blocks = vec![[0u8; 16]; len];
+            encrypt_counters(&rk, &nonce, 3, &mut blocks);
+            for (i, block) in blocks.iter().enumerate() {
+                let mut counter = [0u8; 16];
+                counter[..12].copy_from_slice(&nonce);
+                counter[12..].copy_from_slice(&(3 + i as u32).to_be_bytes());
+                assert_eq!(*block, encrypt_block(&rk, counter), "len={len} block {i}");
+            }
         }
     }
 }

@@ -12,7 +12,7 @@
 //!   Portable, allocation-free, and retained as the correctness oracle for
 //!   the hardware path.
 //! * [`Backend::HwAesClmul`] — `x86_64` AES-NI (8-block interleaved
-//!   pipeline, [`crate::aesni`]) and PCLMULQDQ GHASH (4-block aggregated
+//!   pipeline, [`crate::aesni`]) and PCLMULQDQ GHASH (8-block aggregated
 //!   reduction, [`crate::clmul`]). Constant-time by construction, unlike
 //!   the cache-timing-leaky T-tables.
 //!

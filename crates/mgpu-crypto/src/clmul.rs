@@ -8,15 +8,15 @@
 //! `x^128 + x^7 + x^2 + x + 1` with Intel's two-phase shift/XOR sequence
 //! (the classic gfmul construction from the Intel GCM white paper).
 //!
-//! The bulk entry point [`fold`] processes four blocks per reduction using
-//! a precomputed H-power table: since shift and reduction are linear over
-//! XOR, `(((y⊕x₁)H ⊕ x₂)H ⊕ x₃)H ⊕ x₄)H` is computed as
+//! The bulk entry point [`fold`] processes up to eight blocks per
+//! reduction using a precomputed H-power table: since shift and reduction
+//! are linear over XOR, `(((y⊕x₁)H ⊕ x₂)H ⊕ x₃)H ⊕ x₄)H` is computed as
 //! `reduce(clmul(y⊕x₁, H⁴) ⊕ clmul(x₂, H³) ⊕ clmul(x₃, H²) ⊕ clmul(x₄, H))`
-//! — one reduction amortized over four multiplies. Outputs are bit-for-bit
-//! equal to the Shoup-table and bit-loop paths in [`crate::ghash`]
-//! (property-tested in `tests/backend_parity.rs`), and the data flow is
-//! constant-time: no data- or key-dependent loads or branches, unlike the
-//! 4 KB software table.
+//! — one reduction amortized over all the group's multiplies. Outputs
+//! are bit-for-bit equal to the Shoup-table and bit-loop paths in
+//! [`crate::ghash`] (property-tested in `tests/backend_parity.rs`), and
+//! the data flow is constant-time: no data- or key-dependent loads or
+//! branches, unlike the 4 KB software table.
 //!
 //! # Safety contract
 //!
@@ -26,6 +26,7 @@
 //! `_mm_loadu_si128`/`_mm_storeu_si128` on live 16-byte buffers (the `u`
 //! variants carry no alignment requirement).
 
+use crate::ghash::FOLD_BLOCKS;
 use core::arch::x86_64::{
     __m128i, _mm_clmulepi64_si128, _mm_loadu_si128, _mm_or_si128, _mm_set_epi8, _mm_shuffle_epi8,
     _mm_slli_epi32, _mm_slli_si128, _mm_srli_epi32, _mm_srli_si128, _mm_storeu_si128,
@@ -42,7 +43,7 @@ pub fn available() -> bool {
 /// Loads a GCM-order (big-endian) block and reverses it into the
 /// little-endian layout the clmul math operates in.
 #[target_feature(enable = "pclmulqdq,ssse3")]
-fn load_be(block: &[u8; 16]) -> __m128i {
+pub(crate) fn load_be(block: &[u8; 16]) -> __m128i {
     // Reverse all 16 bytes: index i takes byte 15-i.
     let mask = _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
     // SAFETY: unaligned load — `block` is a live 16-byte reference.
@@ -52,7 +53,7 @@ fn load_be(block: &[u8; 16]) -> __m128i {
 
 /// Reverses back to GCM byte order and stores.
 #[target_feature(enable = "pclmulqdq,ssse3")]
-fn store_be(v: __m128i) -> [u8; 16] {
+pub(crate) fn store_be(v: __m128i) -> [u8; 16] {
     let mask = _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
     let swapped = _mm_shuffle_epi8(v, mask);
     let mut out = [0u8; 16];
@@ -65,7 +66,7 @@ fn store_be(v: __m128i) -> [u8; 16] {
 /// `lo = a0·b0`, `hi = a1·b1`, with the cross terms `a0·b1 ⊕ a1·b0` split
 /// across the middle. Returns `(hi, lo)`.
 #[target_feature(enable = "pclmulqdq,ssse3")]
-fn clmul256(a: __m128i, b: __m128i) -> (__m128i, __m128i) {
+pub(crate) fn clmul256(a: __m128i, b: __m128i) -> (__m128i, __m128i) {
     let lo = _mm_clmulepi64_si128::<0x00>(a, b);
     let hi = _mm_clmulepi64_si128::<0x11>(a, b);
     let mid = _mm_xor_si128(
@@ -87,7 +88,7 @@ fn clmul256(a: __m128i, b: __m128i) -> (__m128i, __m128i) {
 /// 31/30/25, phase two via right shifts by 1/2/7). Linear over XOR, so
 /// several products may be accumulated into `(hi, lo)` before one call.
 #[target_feature(enable = "pclmulqdq,ssse3")]
-fn reduce(hi: __m128i, lo: __m128i) -> __m128i {
+pub(crate) fn reduce(hi: __m128i, lo: __m128i) -> __m128i {
     // 256-bit shift left by 1: per-lane shifts plus carries across the
     // 32-bit lane and 128-bit register boundaries.
     let carry_lo = _mm_srli_epi32::<31>(lo);
@@ -131,46 +132,44 @@ fn mul_impl(x: &[u8; 16], h: &[u8; 16]) -> [u8; 16] {
     store_be(reduce(hi, lo))
 }
 
-/// Bulk GHASH fold: absorbs `blocks` into accumulator `y`, four blocks per
-/// reduction.
+/// Bulk GHASH fold: absorbs `blocks` into accumulator `y`, up to
+/// [`FOLD_BLOCKS`] blocks per reduction.
 ///
-/// `hpow` holds `[H, H², H³, H⁴]` in GCM byte order (precomputed by
+/// `hpow` holds `[H, H², …, H⁸]` in GCM byte order (precomputed by
 /// [`crate::ghash::GhashKey`] with the portable field arithmetic). Each
-/// 4-block group computes
-/// `y ← reduce(clmul(y⊕b₀, H⁴) ⊕ clmul(b₁, H³) ⊕ clmul(b₂, H²) ⊕ clmul(b₃, H))`;
-/// leftover blocks fall back to one multiply each. Returns the new `y`.
+/// group of `n ≤ 8` blocks computes
+/// `y ← reduce(clmul(y⊕b₀, Hⁿ) ⊕ clmul(b₁, Hⁿ⁻¹) ⊕ … ⊕ clmul(bₙ₋₁, H))`,
+/// so a short message — AAD, ciphertext and length block together — is
+/// authenticated with a single reduction. Returns the new `y`.
 ///
 /// # Panics
 ///
 /// Panics if the CPU does not support PCLMULQDQ+SSSE3.
 #[must_use]
-pub fn fold(y: &[u8; 16], hpow: &[[u8; 16]; 4], blocks: &[[u8; 16]]) -> [u8; 16] {
+pub fn fold(y: &[u8; 16], hpow: &[[u8; 16]; FOLD_BLOCKS], blocks: &[[u8; 16]]) -> [u8; 16] {
     assert!(available(), "PCLMULQDQ GHASH without CPU support");
     // SAFETY: feature gate — `available()` verified CPU support above.
     unsafe { fold_impl(y, hpow, blocks) }
 }
 
 #[target_feature(enable = "pclmulqdq,ssse3")]
-fn fold_impl(y: &[u8; 16], hpow: &[[u8; 16]; 4], blocks: &[[u8; 16]]) -> [u8; 16] {
-    let h1 = load_be(&hpow[0]);
-    let h2 = load_be(&hpow[1]);
-    let h3 = load_be(&hpow[2]);
-    let h4 = load_be(&hpow[3]);
+fn fold_impl(y: &[u8; 16], hpow: &[[u8; 16]; FOLD_BLOCKS], blocks: &[[u8; 16]]) -> [u8; 16] {
     let mut acc = load_be(y);
-    let mut groups = blocks.chunks_exact(4);
-    for group in &mut groups {
-        // The shift/reduction are linear over XOR, so the four products
-        // accumulate in 256-bit form and reduce once.
-        let (hi0, lo0) = clmul256(_mm_xor_si128(acc, load_be(&group[0])), h4);
-        let (hi1, lo1) = clmul256(load_be(&group[1]), h3);
-        let (hi2, lo2) = clmul256(load_be(&group[2]), h2);
-        let (hi3, lo3) = clmul256(load_be(&group[3]), h1);
-        let hi = _mm_xor_si128(_mm_xor_si128(hi0, hi1), _mm_xor_si128(hi2, hi3));
-        let lo = _mm_xor_si128(_mm_xor_si128(lo0, lo1), _mm_xor_si128(lo2, lo3));
-        acc = reduce(hi, lo);
-    }
-    for block in groups.remainder() {
-        let (hi, lo) = clmul256(_mm_xor_si128(acc, load_be(block)), h1);
+    for group in blocks.chunks(FOLD_BLOCKS) {
+        // The shift/reduction are linear over XOR, so the group's products
+        // accumulate in 256-bit form and reduce once. Block i of an
+        // n-block group is weighted by H^(n-i); the accumulator rides on
+        // the first block.
+        let n = group.len();
+        let (mut hi, mut lo) = clmul256(
+            _mm_xor_si128(acc, load_be(&group[0])),
+            load_be(&hpow[n - 1]),
+        );
+        for (block, power) in group[1..].iter().zip(hpow[..n - 1].iter().rev()) {
+            let (phi, plo) = clmul256(load_be(block), load_be(power));
+            hi = _mm_xor_si128(hi, phi);
+            lo = _mm_xor_si128(lo, plo);
+        }
         acc = reduce(hi, lo);
     }
     store_be(acc)
@@ -185,9 +184,9 @@ mod tests {
         Gf128::from_bytes(x).mul(Gf128::from_bytes(h)).to_bytes()
     }
 
-    fn hpowers(h: [u8; 16]) -> [[u8; 16]; 4] {
+    fn hpowers(h: [u8; 16]) -> [[u8; 16]; FOLD_BLOCKS] {
         let hf = Gf128::from_bytes(h);
-        let mut pow = [[0u8; 16]; 4];
+        let mut pow = [[0u8; 16]; FOLD_BLOCKS];
         let mut acc = hf;
         for slot in &mut pow {
             *slot = acc.to_bytes();
@@ -241,7 +240,7 @@ mod tests {
         }
         let h = [0x77u8; 16];
         let pow = hpowers(h);
-        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 12, 13] {
+        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 15, 16, 17, 24, 25] {
             let blocks: Vec<[u8; 16]> = (0..len).map(|i| [(i as u8) * 7 + 1; 16]).collect();
             let y0 = [0x11u8; 16];
             // Reference: one multiply per block with the bit-loop oracle.

@@ -75,9 +75,9 @@ impl CtrKeystream {
     /// Fills `out` with consecutive keystream blocks for `seed`, starting
     /// at block offset `start_idx`.
     ///
-    /// This is the bulk refill path: the counter blocks are laid out first
-    /// and encrypted in one [`Aes128::encrypt_blocks`] call, so pad
-    /// generation amortizes per-call overhead across the whole window.
+    /// This is the bulk refill path: the whole window is encrypted in one
+    /// [`Aes128::encrypt_counters`] call, so pad generation amortizes
+    /// per-call overhead across it.
     ///
     /// # Panics
     ///
@@ -88,10 +88,9 @@ impl CtrKeystream {
             (out.len() as u64) <= u64::from(u32::MAX - start_idx) + 1,
             "keystream window overflows the 32-bit block index"
         );
-        for (i, block) in out.iter_mut().enumerate() {
-            *block = seed.to_counter_block(start_idx + i as u32);
-        }
-        self.aes.encrypt_blocks(out);
+        // The assert above rules out a wrap of the block index, so inc32
+        // steps exactly through `start_idx, start_idx + 1, …`.
+        self.aes.encrypt_counters(&seed.to_nonce(), start_idx, out);
     }
 
     /// Generates the 64-byte encryption pad for one cacheline, as used by

@@ -3,10 +3,23 @@
 //!
 //! The secure channel in `mgpu-secure` uses this for end-to-end functional
 //! validation: real ciphertexts, real tags, real tamper detection.
+//!
+//! Every entry point is a thin wrapper over one in-place core
+//! ([`AesGcm::seal_in_place_detached`], [`AesGcm::open_in_place_detached`],
+//! [`AesGcm::decrypt_in_place_and_tag`]), and neither of its paths
+//! allocates. The message length selects the path. When the AAD, the
+//! ciphertext and the length block fit in
+//! [`FOLD_BLOCKS`](crate::ghash::FOLD_BLOCKS) GHASH blocks —
+//! the protocol's 64 B block under its 12 B header takes 6 — the hardware
+//! backend runs the fused kernel in `aesni_gcm`: one bulk AES call yields
+//! `E(J0)` together with the whole keystream, and one GHASH fold with a
+//! single reduction authenticates the message. Every other message, and
+//! every message on the software backend, streams: the keystream in
+//! 16-block chunks, GHASH section by section.
 
 use crate::aes::Aes128;
 use crate::backend::{self, Backend};
-use crate::ghash::{Ghash, GhashKey};
+use crate::ghash::{Gf128, GhashKey};
 
 /// Authentication tag length in bytes (full 128-bit tags).
 pub const TAG_LEN: usize = 16;
@@ -27,8 +40,8 @@ pub const TAG_LEN: usize = 16;
 pub struct AesGcm {
     aes: Aes128,
     /// `H = AES_K(0)` expanded into the backend's key tables (Shoup
-    /// product table and `H`-power table), built once per key and shared
-    /// by every tag computation.
+    /// product table and `H`-power table), built once per key and
+    /// borrowed by every tag computation.
     h: GhashKey,
 }
 
@@ -43,6 +56,55 @@ impl core::fmt::Display for TagMismatch {
 }
 
 impl std::error::Error for TagMismatch {}
+
+/// What the in-place core does with a message: the three operations
+/// every public entry point reduces to.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Op<'t> {
+    /// Encrypt, then tag the ciphertext.
+    Seal,
+    /// Tag the ciphertext, then decrypt only if the tag matches this
+    /// (possibly truncated) one.
+    Open(&'t [u8]),
+    /// Tag the ciphertext and decrypt unconditionally (lazy verification).
+    Decrypt,
+}
+
+/// Whether AAD, text and length block fit in one GHASH fold.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn fits_one_fold(aad_len: usize, len: usize) -> bool {
+    aad_len.div_ceil(16) + len.div_ceil(16) < crate::ghash::FOLD_BLOCKS
+}
+
+/// Checks a detached tag of 8 to 16 bytes against the prefix of the
+/// computed one, without an early exit on the first differing byte.
+pub(crate) fn check_tag(expected: &[u8], computed: &[u8; 16]) -> Result<(), TagMismatch> {
+    if expected.len() < 8 || expected.len() > TAG_LEN {
+        return Err(TagMismatch);
+    }
+    let diff = expected
+        .iter()
+        .zip(computed)
+        .fold(0u8, |acc, (a, b)| acc | (a ^ b));
+    if diff == 0 {
+        Ok(())
+    } else {
+        Err(TagMismatch)
+    }
+}
+
+/// XORs `keystream` into `buf`, a whole 16-byte block at a time.
+fn xor_keystream(buf: &mut [u8], keystream: &[[u8; 16]]) {
+    let (full, tail) = buf.as_chunks_mut::<16>();
+    for (b, k) in full.iter_mut().zip(keystream) {
+        *b = (u128::from_ne_bytes(*b) ^ u128::from_ne_bytes(*k)).to_ne_bytes();
+    }
+    if let Some(k) = keystream.get(full.len()) {
+        for (b, k) in tail.iter_mut().zip(k) {
+            *b ^= k;
+        }
+    }
+}
 
 impl AesGcm {
     /// Creates a GCM instance, deriving the hash subkey `H = AES_K(0)`,
@@ -71,90 +133,144 @@ impl AesGcm {
         self.aes.backend()
     }
 
-    /// Builds the initial counter block J0 for a 96-bit nonce
-    /// (SP 800-38D §7.1: J0 = IV || 0^31 || 1).
-    fn j0(nonce: &[u8; 12]) -> [u8; 16] {
-        let mut j0 = [0u8; 16];
-        j0[..12].copy_from_slice(nonce);
-        j0[15] = 1;
-        j0
-    }
-
-    /// Increments the low 32 bits of a counter block (inc32).
-    fn inc32(block: &mut [u8; 16]) {
-        let ctr = u32::from_be_bytes(block[12..16].try_into().expect("4 bytes"));
-        block[12..16].copy_from_slice(&ctr.wrapping_add(1).to_be_bytes());
-    }
-
-    /// Counter blocks encrypted per bulk call in [`AesGcm::ctr_xor_into`];
-    /// 16 blocks (256 B) comfortably covers the protocol's 64 B cachelines
-    /// in one call while keeping the scratch on the stack.
+    /// Counter blocks encrypted per bulk call on the streaming path; 16
+    /// blocks (256 B) keep the scratch on the stack.
     const CTR_CHUNK: usize = 16;
 
-    /// CTR-mode encrypt/decrypt starting from counter block `icb`, writing
-    /// the output into `out` (cleared first). Keystream blocks live in a
-    /// stack scratch, so the call performs no heap allocation once `out`
-    /// has capacity.
-    fn ctr_xor_into(&self, icb: [u8; 16], data: &[u8], out: &mut Vec<u8>) {
-        out.clear();
-        out.reserve(data.len());
-        let mut cb = icb;
-        let mut chunk = [[0u8; 16]; Self::CTR_CHUNK];
-        for piece in data.chunks(16 * Self::CTR_CHUNK) {
-            let nblocks = piece.len().div_ceil(16);
-            for counter in chunk.iter_mut().take(nblocks) {
-                *counter = cb;
-                Self::inc32(&mut cb);
+    /// The in-place core: runs `op` on `buf` and returns the tag over its
+    /// ciphertext.
+    fn run(
+        &self,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        buf: &mut [u8],
+        op: Op<'_>,
+    ) -> Result<[u8; 16], TagMismatch> {
+        #[cfg(target_arch = "x86_64")]
+        if self.backend() == Backend::HwAesClmul && fits_one_fold(aad.len(), buf.len()) {
+            let (round_keys, hpow) = (self.aes.round_keys(), self.h.powers());
+            return crate::aesni_gcm::short_message(round_keys, hpow, nonce, aad, buf, op);
+        }
+        if let Op::Seal = op {
+            self.apply_keystream(nonce, buf);
+        }
+        let tag = self.tag(nonce, aad, buf);
+        match op {
+            Op::Seal => {}
+            Op::Open(expected) => {
+                check_tag(expected, &tag)?;
+                self.apply_keystream(nonce, buf);
             }
-            self.aes.encrypt_blocks(&mut chunk[..nblocks]);
-            out.extend(
-                piece
-                    .iter()
-                    .zip(chunk[..nblocks].iter().flatten())
-                    .map(|(d, k)| d ^ k),
-            );
+            Op::Decrypt => self.apply_keystream(nonce, buf),
+        }
+        Ok(tag)
+    }
+
+    /// CTR-mode encrypt/decrypt of `buf` in place from counter `J0+1`,
+    /// streamed through a stack chunk of counter blocks.
+    fn apply_keystream(&self, nonce: &[u8; 12], buf: &mut [u8]) {
+        let mut chunk = [[0u8; 16]; Self::CTR_CHUNK];
+        for (i, piece) in buf.chunks_mut(16 * Self::CTR_CHUNK).enumerate() {
+            // J0 = nonce ‖ be32(1) for a 96-bit nonce (SP 800-38D §7.1), so
+            // the keystream starts at 2; the cast wraps exactly as inc32.
+            let first = (2 + Self::CTR_CHUNK * i) as u32;
+            let nblocks = piece.len().div_ceil(16);
+            self.aes
+                .encrypt_counters(nonce, first, &mut chunk[..nblocks]);
+            xor_keystream(piece, &chunk[..nblocks]);
         }
     }
 
-    /// CTR-mode encrypt/decrypt starting from counter block `icb`.
-    fn ctr_xor(&self, icb: [u8; 16], data: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(data.len());
-        self.ctr_xor_into(icb, data, &mut out);
-        out
+    /// Absorbs `data` into `y`, zero-padding its last partial block.
+    fn fold_padded(&self, y: Gf128, data: &[u8]) -> Gf128 {
+        let (full, tail) = data.as_chunks::<16>();
+        let y = self.h.fold_blocks(y, full);
+        if tail.is_empty() {
+            return y;
+        }
+        let mut last = [0u8; 16];
+        last[..tail.len()].copy_from_slice(tail);
+        self.h.fold_blocks(y, &[last])
     }
 
-    /// Computes the GCM tag over `aad` and `ciphertext`.
+    /// Computes the GCM tag over `aad` and `ciphertext`, GHASH section by
+    /// section masked with `E_K(J0)`.
     fn tag(&self, nonce: &[u8; 12], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
-        let mut g = Ghash::with_key(self.h.clone());
-        g.update(aad);
-        g.pad_to_block();
-        g.update(ciphertext);
-        let s = g.finalize(aad.len() as u64, ciphertext.len() as u64);
-        let ek_j0 = self.aes.encrypt_block(Self::j0(nonce));
-        let mut tag = [0u8; 16];
-        for i in 0..16 {
-            tag[i] = s[i] ^ ek_j0[i];
-        }
-        tag
+        let mut len_block = [0u8; 16];
+        len_block[..8].copy_from_slice(&(aad.len() as u64 * 8).to_be_bytes());
+        len_block[8..].copy_from_slice(&(ciphertext.len() as u64 * 8).to_be_bytes());
+        let y = self.fold_padded(Gf128::ZERO, aad);
+        let y = self.fold_padded(y, ciphertext);
+        let s = self.h.fold_blocks(y, &[len_block]);
+        let mut ek_j0 = [[0u8; 16]];
+        self.aes.encrypt_counters(nonce, 1, &mut ek_j0);
+        (u128::from_ne_bytes(s.to_bytes()) ^ u128::from_ne_bytes(ek_j0[0])).to_ne_bytes()
     }
 
-    /// Encrypts `plaintext` and appends the 16-byte tag.
+    /// Encrypts `buffer` in place and returns the 16-byte tag — the core
+    /// every seal form wraps. The protocol layer truncates the tag to its
+    /// 8 B `MsgMAC`; GCM explicitly supports 64-bit tags
+    /// (SP 800-38D §5.2.1.2).
     ///
     /// `aad` is authenticated but not encrypted — the protocol uses it for
     /// message headers (sender ID, counter) that must travel in the clear.
+    pub fn seal_in_place_detached(
+        &self,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        buffer: &mut [u8],
+    ) -> [u8; 16] {
+        self.run(nonce, aad, buffer, Op::Seal)
+            .expect("sealing never fails")
+    }
+
+    /// Verifies the detached (possibly truncated) tag over the ciphertext
+    /// in `buffer`, then decrypts it in place. On failure `buffer` is left
+    /// untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TagMismatch`] if `tag` is shorter than 8 bytes, longer
+    /// than 16, or does not match the computed tag's prefix.
+    pub fn open_in_place_detached(
+        &self,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        buffer: &mut [u8],
+        tag: &[u8],
+    ) -> Result<(), TagMismatch> {
+        self.run(nonce, aad, buffer, Op::Open(tag)).map(drop)
+    }
+
+    /// Decrypts `buffer` in place *unconditionally* and returns the tag
+    /// computed over its ciphertext, without verifying anything.
+    ///
+    /// This is the primitive behind the paper's *lazy verification*: the
+    /// receiver forwards decrypted data immediately and checks the
+    /// (batched) MAC when the whole batch has arrived. Callers MUST
+    /// eventually compare the returned tag against an authentic one.
+    pub fn decrypt_in_place_and_tag(
+        &self,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        buffer: &mut [u8],
+    ) -> [u8; 16] {
+        self.run(nonce, aad, buffer, Op::Decrypt)
+            .expect("lazy decryption never fails")
+    }
+
+    /// Encrypts `plaintext` and appends the 16-byte tag.
     #[must_use]
     pub fn seal(&self, nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut icb = Self::j0(nonce);
-        Self::inc32(&mut icb);
-        let mut out = self.ctr_xor(icb, plaintext);
-        let tag = self.tag(nonce, aad, &out);
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        out.extend_from_slice(plaintext);
+        let tag = self.seal_in_place_detached(nonce, aad, &mut out);
         out.extend_from_slice(&tag);
         out
     }
 
     /// Encrypts `plaintext` returning ciphertext and the 16-byte tag
-    /// separately. The protocol layer truncates the tag to its 8 B
-    /// `MsgMAC`; GCM explicitly supports 64-bit tags (SP 800-38D §5.2.1.2).
+    /// separately.
     #[must_use]
     pub fn seal_detached(
         &self,
@@ -162,17 +278,15 @@ impl AesGcm {
         aad: &[u8],
         plaintext: &[u8],
     ) -> (Vec<u8>, [u8; 16]) {
-        let mut icb = Self::j0(nonce);
-        Self::inc32(&mut icb);
-        let ciphertext = self.ctr_xor(icb, plaintext);
-        let tag = self.tag(nonce, aad, &ciphertext);
+        let mut ciphertext = plaintext.to_vec();
+        let tag = self.seal_in_place_detached(nonce, aad, &mut ciphertext);
         (ciphertext, tag)
     }
 
     /// Buffer-reusing form of [`AesGcm::seal_detached`]: encrypts
     /// `plaintext` into `ciphertext_out` (cleared first) and returns the
     /// 16-byte tag. Performs no heap allocation once `ciphertext_out` has
-    /// capacity — the secure channel's steady-state send path.
+    /// capacity.
     pub fn seal_detached_into(
         &self,
         nonce: &[u8; 12],
@@ -180,17 +294,15 @@ impl AesGcm {
         plaintext: &[u8],
         ciphertext_out: &mut Vec<u8>,
     ) -> [u8; 16] {
-        let mut icb = Self::j0(nonce);
-        Self::inc32(&mut icb);
-        self.ctr_xor_into(icb, plaintext, ciphertext_out);
-        self.tag(nonce, aad, ciphertext_out)
+        ciphertext_out.clear();
+        ciphertext_out.extend_from_slice(plaintext);
+        self.seal_in_place_detached(nonce, aad, ciphertext_out)
     }
 
     /// Buffer-reusing form of [`AesGcm::decrypt_and_tag`]: decrypts
     /// `ciphertext` into `plaintext_out` (cleared first) *unconditionally*
     /// and returns the computed tag. Same lazy-verification contract as
-    /// [`AesGcm::decrypt_and_tag`]: callers MUST eventually compare the
-    /// tag against an authentic one.
+    /// [`AesGcm::decrypt_in_place_and_tag`].
     pub fn decrypt_and_tag_into(
         &self,
         nonce: &[u8; 12],
@@ -198,11 +310,9 @@ impl AesGcm {
         ciphertext: &[u8],
         plaintext_out: &mut Vec<u8>,
     ) -> [u8; 16] {
-        let tag = self.tag(nonce, aad, ciphertext);
-        let mut icb = Self::j0(nonce);
-        Self::inc32(&mut icb);
-        self.ctr_xor_into(icb, ciphertext, plaintext_out);
-        tag
+        plaintext_out.clear();
+        plaintext_out.extend_from_slice(ciphertext);
+        self.decrypt_in_place_and_tag(nonce, aad, plaintext_out)
     }
 
     /// Buffer-reusing form of [`AesGcm::open_detached`]: verifies the
@@ -212,7 +322,7 @@ impl AesGcm {
     /// # Errors
     ///
     /// Returns [`TagMismatch`] under the same conditions as
-    /// [`AesGcm::open_detached`].
+    /// [`AesGcm::open_in_place_detached`].
     pub fn open_detached_into(
         &self,
         nonce: &[u8; 12],
@@ -221,30 +331,17 @@ impl AesGcm {
         tag: &[u8],
         plaintext_out: &mut Vec<u8>,
     ) -> Result<(), TagMismatch> {
-        if tag.len() < 8 || tag.len() > TAG_LEN {
-            return Err(TagMismatch);
-        }
-        let expected = self.tag(nonce, aad, ciphertext);
-        let mut diff = 0u8;
-        for (a, b) in expected.iter().zip(tag.iter()) {
-            diff |= a ^ b;
-        }
-        if diff != 0 {
-            return Err(TagMismatch);
-        }
-        let mut icb = Self::j0(nonce);
-        Self::inc32(&mut icb);
-        self.ctr_xor_into(icb, ciphertext, plaintext_out);
+        check_tag(tag, &self.tag(nonce, aad, ciphertext))?;
+        plaintext_out.clear();
+        plaintext_out.extend_from_slice(ciphertext);
+        self.apply_keystream(nonce, plaintext_out);
         Ok(())
     }
 
     /// Decrypts `ciphertext` *unconditionally* and returns the plaintext
-    /// together with the computed tag, without verifying anything.
-    ///
-    /// This is the primitive behind the paper's *lazy verification*: the
-    /// receiver forwards decrypted data immediately and checks the
-    /// (batched) MAC when the whole batch has arrived. Callers MUST
-    /// eventually compare the returned tag against an authentic one.
+    /// together with the computed tag — the allocating form of
+    /// [`AesGcm::decrypt_in_place_and_tag`], with the same lazy-verification
+    /// contract.
     #[must_use]
     pub fn decrypt_and_tag(
         &self,
@@ -252,18 +349,17 @@ impl AesGcm {
         aad: &[u8],
         ciphertext: &[u8],
     ) -> (Vec<u8>, [u8; 16]) {
-        let tag = self.tag(nonce, aad, ciphertext);
-        let mut icb = Self::j0(nonce);
-        Self::inc32(&mut icb);
-        (self.ctr_xor(icb, ciphertext), tag)
+        let mut plaintext = ciphertext.to_vec();
+        let tag = self.decrypt_in_place_and_tag(nonce, aad, &mut plaintext);
+        (plaintext, tag)
     }
 
     /// Verifies a detached (possibly truncated) tag and decrypts.
     ///
     /// # Errors
     ///
-    /// Returns [`TagMismatch`] if `tag` is shorter than 8 bytes, longer
-    /// than 16, or does not match the computed tag's prefix.
+    /// Returns [`TagMismatch`] under the same conditions as
+    /// [`AesGcm::open_in_place_detached`].
     pub fn open_detached(
         &self,
         nonce: &[u8; 12],
@@ -271,9 +367,9 @@ impl AesGcm {
         ciphertext: &[u8],
         tag: &[u8],
     ) -> Result<Vec<u8>, TagMismatch> {
-        let mut out = Vec::with_capacity(ciphertext.len());
-        self.open_detached_into(nonce, aad, ciphertext, tag, &mut out)?;
-        Ok(out)
+        let mut plaintext = ciphertext.to_vec();
+        self.open_in_place_detached(nonce, aad, &mut plaintext, tag)?;
+        Ok(plaintext)
     }
 
     /// Verifies and decrypts a sealed message.
@@ -288,23 +384,11 @@ impl AesGcm {
         aad: &[u8],
         sealed: &[u8],
     ) -> Result<Vec<u8>, TagMismatch> {
-        if sealed.len() < TAG_LEN {
+        let Some(split) = sealed.len().checked_sub(TAG_LEN) else {
             return Err(TagMismatch);
-        }
-        let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let expected = self.tag(nonce, aad, ciphertext);
-        // Constant-time-ish comparison (not a production concern here, but
-        // avoid the obvious early-exit pattern).
-        let mut diff = 0u8;
-        for (a, b) in expected.iter().zip(tag.iter()) {
-            diff |= a ^ b;
-        }
-        if diff != 0 {
-            return Err(TagMismatch);
-        }
-        let mut icb = Self::j0(nonce);
-        Self::inc32(&mut icb);
-        Ok(self.ctr_xor(icb, ciphertext))
+        };
+        let (ciphertext, tag) = sealed.split_at(split);
+        self.open_detached(nonce, aad, ciphertext, tag)
     }
 }
 

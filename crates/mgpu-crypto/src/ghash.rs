@@ -17,14 +17,20 @@
 //!   as the reference oracle and the two are checked for equivalence in
 //!   tests.
 //! * **Hardware** — `x86_64` PCLMULQDQ ([`crate::clmul`]): one carry-less
-//!   multiply per block, and for bulk data a 4-block aggregated reduction
-//!   over the precomputed `H¹..H⁴` power table ([`GhashKey::fold_blocks`],
-//!   which [`Ghash::update`] feeds every full-block run through).
+//!   multiply per block, and for bulk data an aggregated reduction over
+//!   up to [`FOLD_BLOCKS`] blocks at a time from the precomputed
+//!   `H¹..H⁸` power table ([`GhashKey::fold_blocks`], which
+//!   [`Ghash::update`] and AES-GCM's streaming path feed every full-block
+//!   run through).
 //!   Bit-for-bit equal to the software path and constant-time, unlike the
 //!   data-indexed Shoup table.
 
 use crate::backend::{self, Backend};
 use std::sync::Arc;
+
+/// Blocks the hardware fold absorbs per reduction, and so the length of
+/// the `H`-power table: `H¹..H⁸`.
+pub const FOLD_BLOCKS: usize = 8;
 
 /// An element of GF(2^128) in GCM's bit-reflected representation.
 ///
@@ -176,10 +182,10 @@ const REDUCE8: [u64; 256] = build_reduce8();
 #[derive(Debug, Clone)]
 pub struct GhashKey {
     table: Arc<[Gf128; 256]>,
-    /// `[H, H², H³, H⁴]` in GCM byte order, for the hardware 4-block
-    /// aggregated fold. Computed with the portable bit-loop multiply so
-    /// the table itself never depends on the backend.
-    hpow: [[u8; 16]; 4],
+    /// `[H, H², …, H⁸]` in GCM byte order, for the hardware aggregated
+    /// fold. Computed with the portable bit-loop multiply so the table
+    /// itself never depends on the backend.
+    hpow: [[u8; 16]; FOLD_BLOCKS],
     /// Implementation family, snapshotted from the process default at
     /// construction.
     backend: Backend,
@@ -208,7 +214,7 @@ impl GhashKey {
             backend.name()
         );
         let hf = Gf128::from_bytes(h);
-        let mut hpow = [[0u8; 16]; 4];
+        let mut hpow = [[0u8; 16]; FOLD_BLOCKS];
         let mut acc = hf;
         for slot in &mut hpow {
             *slot = acc.to_bytes();
@@ -246,6 +252,12 @@ impl GhashKey {
         self.backend
     }
 
+    /// `[H, H², …, H⁸]` in GCM byte order, for the fused AES-GCM kernel.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn powers(&self) -> &[[u8; 16]; FOLD_BLOCKS] {
+        &self.hpow
+    }
+
     /// Multiplies `x · H`, dispatching to the backend chosen at key
     /// construction.
     #[must_use]
@@ -281,9 +293,10 @@ impl GhashKey {
     /// Absorbs a run of full blocks into accumulator `y`:
     /// `y ← (…((y ⊕ b₀)·H ⊕ b₁)·H … ⊕ bₙ₋₁)·H`.
     ///
-    /// On the hardware backend this is the 4-block aggregated-reduction
-    /// fold over the `H¹..H⁴` power table — the GHASH bulk fast path; on
-    /// the software backend it is the sequential Horner loop.
+    /// On the hardware backend this is the aggregated-reduction fold over
+    /// the `H¹..H⁸` power table, one reduction per [`FOLD_BLOCKS`] blocks —
+    /// the GHASH bulk fast path; on the software backend it is the
+    /// sequential Horner loop.
     #[must_use]
     pub fn fold_blocks(&self, y: Gf128, blocks: &[[u8; 16]]) -> Gf128 {
         match self.backend {
@@ -361,8 +374,8 @@ impl Ghash {
             }
         }
         // Feed the aligned full-block region to the key's bulk fold in one
-        // call — on the hardware backend that is the 4-block aggregated
-        // PCLMULQDQ path.
+        // call — on the hardware backend that is the aggregated PCLMULQDQ
+        // path.
         let (blocks, rest) = data.as_chunks::<16>();
         self.y = self.key.fold_blocks(self.y, blocks);
         self.buf[..rest.len()].copy_from_slice(rest);

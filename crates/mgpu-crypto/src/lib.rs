@@ -55,6 +55,9 @@ pub mod aes;
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub mod aesni;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod aesni_gcm;
 pub mod backend;
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]

@@ -119,6 +119,188 @@ fn nist_gcm_vectors_pass_on_every_backend() {
                 pt,
                 "case {i} open on {backend}"
             );
+            // The same vector through the in-place core.
+            let mut buf = pt.clone();
+            assert_eq!(
+                gcm.seal_in_place_detached(&nonce, &aad, &mut buf),
+                tag,
+                "case {i} in-place tag on {backend}"
+            );
+            assert_eq!(buf, ct, "case {i} in-place ciphertext on {backend}");
+            gcm.open_in_place_detached(&nonce, &aad, &mut buf, &tag)
+                .expect("authentic vector");
+            assert_eq!(buf, pt, "case {i} in-place open on {backend}");
+            buf.clone_from(&ct);
+            assert_eq!(
+                gcm.decrypt_in_place_and_tag(&nonce, &aad, &mut buf),
+                tag,
+                "case {i} lazy tag on {backend}"
+            );
+            assert_eq!(buf, pt, "case {i} lazy decrypt on {backend}");
+        }
+    }
+}
+
+/// Reference AES-GCM built only from the single-block cipher and the
+/// streaming [`Ghash`]: counter blocks assembled byte-wise, one
+/// `encrypt_block` each, GHASH fed section by section. Returns
+/// `(ciphertext, tag)`.
+fn reference_seal(
+    key: &[u8; 16],
+    backend: Backend,
+    nonce: &[u8; 12],
+    aad: &[u8],
+    pt: &[u8],
+) -> (Vec<u8>, [u8; 16]) {
+    let aes = Aes128::with_backend(key, backend);
+    let counter = |i: u32| {
+        let mut block = [0u8; 16];
+        block[..12].copy_from_slice(nonce);
+        block[12..].copy_from_slice(&(1 + i).to_be_bytes());
+        aes.encrypt_block(block)
+    };
+    let ct: Vec<u8> = pt
+        .chunks(16)
+        .enumerate()
+        .flat_map(|(i, chunk)| {
+            let pad = counter(1 + i as u32);
+            chunk
+                .iter()
+                .zip(pad)
+                .map(|(p, k)| p ^ k)
+                .collect::<Vec<u8>>()
+        })
+        .collect();
+    let h = aes.encrypt_block([0u8; 16]);
+    let mut g = Ghash::with_key(GhashKey::with_backend(h, backend));
+    g.update(aad);
+    g.pad_to_block();
+    g.update(&ct);
+    let s = g.finalize(aad.len() as u64, ct.len() as u64);
+    let ek_j0 = counter(0);
+    let mut tag = [0u8; 16];
+    for (t, (a, b)) in tag.iter_mut().zip(s.iter().zip(ek_j0)) {
+        *t = a ^ b;
+    }
+    (ct, tag)
+}
+
+#[test]
+fn in_place_core_matches_streaming_reference_at_every_length() {
+    // Every AAD length 0..=40 and text length 0..=160: the short path
+    // (AAD, text and length block within one 8-block GHASH fold) and the
+    // streaming path meet inside this range for every AAD length.
+    let key = [0x2Bu8; 16];
+    let nonce = [0x5Cu8; 12];
+    let gcms: Vec<AesGcm> = all_backends()
+        .into_iter()
+        .map(|b| AesGcm::with_backend(&key, b))
+        .collect();
+    for aad_len in 0..=40usize {
+        let aad: Vec<u8> = (0..aad_len).map(|i| (i * 7 + 3) as u8).collect();
+        for len in 0..=160usize {
+            let pt: Vec<u8> = (0..len).map(|i| (i * 13 + aad_len) as u8).collect();
+            let (ct, tag) = reference_seal(&key, Backend::Soft, &nonce, &aad, &pt);
+            for gcm in &gcms {
+                let context = format!("aad {aad_len} B, text {len} B on {}", gcm.backend());
+                let mut buf = pt.clone();
+                let sealed_tag = gcm.seal_in_place_detached(&nonce, &aad, &mut buf);
+                assert_eq!(buf, ct, "{context}: ciphertext");
+                assert_eq!(sealed_tag, tag, "{context}: tag");
+                gcm.open_in_place_detached(&nonce, &aad, &mut buf, &tag[..8])
+                    .unwrap_or_else(|_| panic!("{context}: genuine message rejected"));
+                assert_eq!(buf, pt, "{context}: open");
+                buf.clone_from(&ct);
+                let lazy_tag = gcm.decrypt_in_place_and_tag(&nonce, &aad, &mut buf);
+                assert_eq!(buf, pt, "{context}: lazy decrypt");
+                assert_eq!(lazy_tag, tag, "{context}: lazy tag");
+            }
+        }
+    }
+    if let Some(hw) = hw() {
+        // The reference itself agrees across backends.
+        let pt = [0x77u8; 100];
+        assert_eq!(
+            reference_seal(&key, Backend::Soft, &nonce, b"hdr", &pt),
+            reference_seal(&key, hw, &nonce, b"hdr", &pt)
+        );
+    }
+}
+
+#[test]
+fn every_single_bit_flip_is_rejected_and_leaves_the_buffer_untouched() {
+    let key = [0x91u8; 16];
+    let nonce = [0x0Eu8; 12];
+    // Both sides of the short-path boundary, the protocol's 12 B header
+    // over a 64 B block, and ragged lengths.
+    let shapes = [
+        (12usize, 64usize),
+        (0, 0),
+        (0, 112),
+        (16, 96),
+        (17, 97),
+        (40, 160),
+        (5, 1),
+    ];
+    for backend in all_backends() {
+        let gcm = AesGcm::with_backend(&key, backend);
+        for (aad_len, len) in shapes {
+            let aad: Vec<u8> = (0..aad_len).map(|i| i as u8 ^ 0xA5).collect();
+            let pt: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
+            let mut ct = pt.clone();
+            let tag = gcm.seal_in_place_detached(&nonce, &aad, &mut ct);
+            let context = format!("aad {aad_len} B, text {len} B on {backend}");
+            let rejects = |aad: &[u8], ct: &[u8], tag: &[u8], what: String| {
+                let mut buf = ct.to_vec();
+                assert!(
+                    gcm.open_in_place_detached(&nonce, aad, &mut buf, tag)
+                        .is_err(),
+                    "{context}: {what} accepted"
+                );
+                assert_eq!(buf, ct, "{context}: {what} touched the buffer");
+            };
+            for bit in 0..8 * len {
+                let mut bad = ct.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                rejects(&aad, &bad, &tag, format!("ciphertext bit {bit} flip"));
+            }
+            for bit in 0..8 * aad_len {
+                let mut bad = aad.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                rejects(&bad, &ct, &tag, format!("AAD bit {bit} flip"));
+            }
+            for tag_len in [8, 16] {
+                for bit in 0..8 * tag_len {
+                    let mut bad = tag[..tag_len].to_vec();
+                    bad[bit / 8] ^= 1 << (bit % 8);
+                    rejects(&aad, &ct, &bad, format!("{tag_len} B tag bit {bit} flip"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn encrypt_counters_matches_single_blocks_across_the_wrap() {
+    // The 32-bit counter wraps inside the run; the rest of the block
+    // never changes.
+    let nonce = [0xC4u8; 12];
+    for backend in all_backends() {
+        let aes = Aes128::with_backend(&[0x3Du8; 16], backend);
+        for len in [0usize, 1, 5, 8, 9, 17] {
+            let first = u32::MAX - 3;
+            let mut out = vec![[0u8; 16]; len];
+            aes.encrypt_counters(&nonce, first, &mut out);
+            for (i, block) in out.iter().enumerate() {
+                let mut counter = [0u8; 16];
+                counter[..12].copy_from_slice(&nonce);
+                counter[12..].copy_from_slice(&first.wrapping_add(i as u32).to_be_bytes());
+                assert_eq!(
+                    *block,
+                    aes.encrypt_block(counter),
+                    "{backend}: block {i} of {len}"
+                );
+            }
         }
     }
 }
@@ -135,15 +317,16 @@ proptest! {
 
     #[test]
     fn bulk_encrypt_matches(key in proptest::array::uniform16(any::<u8>()),
-                            blocks in proptest::collection::vec(
-                                proptest::array::uniform16(any::<u8>()), 0..48)) {
+                            nonce in proptest::array::uniform12(any::<u8>()),
+                            first in any::<u32>(),
+                            len in 0usize..48) {
         let Some(hw) = hw() else { return Ok(()) };
         let soft = Aes128::with_backend(&key, Backend::Soft);
         let fast = Aes128::with_backend(&key, hw);
-        let mut a = blocks.clone();
-        let mut b = blocks;
-        soft.encrypt_blocks(&mut a);
-        fast.encrypt_blocks(&mut b);
+        let mut a = vec![[0u8; 16]; len];
+        let mut b = vec![[0u8; 16]; len];
+        soft.encrypt_counters(&nonce, first, &mut a);
+        fast.encrypt_counters(&nonce, first, &mut b);
         prop_assert_eq!(a, b);
     }
 

@@ -191,7 +191,9 @@ pub struct SecurityEvent {
 /// Counts injections, detections and misses per [`FaultKind`], detections
 /// per attacked `(src, dst)` pair, accumulated time-to-detection, and
 /// *false positives* — defense errors on traffic the adversary did not
-/// touch, which a correct implementation never produces.
+/// touch, which a correct implementation never produces. It also counts
+/// the blocks the functional channel sealed, so a run can show that it
+/// really ran AES-GCM.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SecurityEventLog {
     injected: [u64; FaultKind::COUNT],
@@ -201,6 +203,7 @@ pub struct SecurityEventLog {
     pair_detections: BTreeMap<(NodeId, NodeId), u64>,
     ttd_sum: u128,
     ttd_count: u64,
+    blocks_sealed: u64,
 }
 
 impl SecurityEventLog {
@@ -240,6 +243,11 @@ impl SecurityEventLog {
         self.false_positives += 1;
     }
 
+    /// Records one block sealed with real AES-GCM.
+    pub fn record_sealed(&mut self) {
+        self.blocks_sealed += 1;
+    }
+
     /// Merges another log into this one.
     pub fn merge(&mut self, other: &SecurityEventLog) {
         for i in 0..FaultKind::COUNT {
@@ -253,6 +261,7 @@ impl SecurityEventLog {
         }
         self.ttd_sum += other.ttd_sum;
         self.ttd_count += other.ttd_count;
+        self.blocks_sealed += other.blocks_sealed;
     }
 
     /// Faults injected for `kind`.
@@ -295,6 +304,12 @@ impl SecurityEventLog {
     #[must_use]
     pub fn false_positives(&self) -> u64 {
         self.false_positives
+    }
+
+    /// Blocks sealed with real AES-GCM during the run.
+    #[must_use]
+    pub fn blocks_sealed(&self) -> u64 {
+        self.blocks_sealed
     }
 
     /// Detections per attacked `(src, dst)` pair, in deterministic order.

@@ -28,8 +28,9 @@ pub const BLOCK_SIZE: usize = 64;
 /// ACKs for batch trailers echo `id | BATCH_NONCE_BIT` as their counter.
 pub const BATCH_NONCE_BIT: u64 = 1 << 63;
 
-/// One protected block on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One protected block on the wire. Plain data, ciphertext inline: copying
+/// one never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireBlock {
     /// Sending node (the 1 B sender ID of the protocol).
     pub sender: NodeId,
@@ -38,7 +39,7 @@ pub struct WireBlock {
     /// `MsgCTR` — selects the pad on both sides.
     pub counter: u64,
     /// 64 B of ciphertext.
-    pub ciphertext: Vec<u8>,
+    pub ciphertext: [u8; BLOCK_SIZE],
     /// Per-block `MsgMAC`; `None` for batched blocks, whose integrity is
     /// carried by the batch trailer instead.
     pub mac: Option<MsgMac>,
@@ -171,28 +172,43 @@ impl Endpoint {
         out
     }
 
-    fn aad(sender: NodeId, receiver: NodeId, counter: u64) -> [u8; 12] {
+    /// The GCM nonce of message `counter` on the `sender → receiver`
+    /// stream. The same 12 bytes are the message's AAD: the header the
+    /// protocol sends in the clear is exactly what selects the pad.
+    fn nonce(sender: NodeId, receiver: NodeId, counter: u64) -> [u8; 12] {
         PadSeed::new(sender.raw(), receiver.raw(), counter).to_nonce()
+    }
+
+    /// `block` sealed for `peer` under the next counter towards it, in
+    /// place on the wire, with its 8 B `MsgMAC`. The wire's MAC and batch
+    /// fields are left for the caller.
+    fn seal_next(&mut self, peer: NodeId, block: &[u8; BLOCK_SIZE]) -> (WireBlock, MsgMac) {
+        let counter = self.next_ctr(peer);
+        let nonce = Self::nonce(self.id, peer, counter);
+        let mut wire = WireBlock {
+            sender: self.id,
+            receiver: peer,
+            counter,
+            ciphertext: *block,
+            mac: None,
+            batch: None,
+        };
+        let tag = self
+            .gcm_for(peer)
+            .seal_in_place_detached(&nonce, &nonce, &mut wire.ciphertext);
+        (wire, tag[..8].try_into().expect("8-byte prefix"))
     }
 
     /// Seals one unbatched block for `peer`: encrypt, MAC, register the
     /// outstanding `(counter, MAC)` for replay protection.
     pub fn seal_block(&mut self, peer: NodeId, block: &[u8; BLOCK_SIZE]) -> WireBlock {
-        let mut wire = WireBlock {
-            sender: self.id,
-            receiver: peer,
-            counter: 0,
-            ciphertext: Vec::new(),
-            mac: None,
-            batch: None,
-        };
-        self.seal_block_into(peer, block, &mut wire);
+        let (mut wire, mac) = self.seal_next(peer, block);
+        self.guard.register_outstanding(peer, wire.counter, mac);
+        wire.mac = Some(mac);
         wire
     }
 
-    /// [`seal_block`] writing into a caller-owned [`WireBlock`], reusing
-    /// its ciphertext buffer — the steady-state send path allocates nothing
-    /// once the buffer has reached block size.
+    /// [`seal_block`] writing into a caller-owned [`WireBlock`].
     ///
     /// [`seal_block`]: Endpoint::seal_block
     pub fn seal_block_into(
@@ -201,18 +217,7 @@ impl Endpoint {
         block: &[u8; BLOCK_SIZE],
         wire: &mut WireBlock,
     ) {
-        let counter = self.next_ctr(peer);
-        let nonce = PadSeed::new(self.id.raw(), peer.raw(), counter).to_nonce();
-        let aad = Self::aad(self.id, peer, counter);
-        let gcm = self.gcm.get(peer).expect("peer within system");
-        let tag = gcm.seal_detached_into(&nonce, &aad, block, &mut wire.ciphertext);
-        let mac: MsgMac = tag[..8].try_into().expect("8-byte prefix");
-        self.guard.register_outstanding(peer, counter, mac);
-        wire.sender = self.id;
-        wire.receiver = peer;
-        wire.counter = counter;
-        wire.mac = Some(mac);
-        wire.batch = None;
+        *wire = self.seal_block(peer, block);
     }
 
     /// Opens one unbatched block: freshness check, verify MAC, decrypt,
@@ -231,8 +236,7 @@ impl Endpoint {
     }
 
     /// [`open_block`] decrypting into a caller-owned buffer, reusing its
-    /// allocation. On error the buffer's contents are unspecified and must
-    /// not be used.
+    /// allocation. On error the buffer is left untouched.
     ///
     /// # Errors
     ///
@@ -252,13 +256,13 @@ impl Endpoint {
         let mac = wire
             .mac
             .ok_or_else(|| MgpuError::Protocol("unbatched block without a MsgMAC".into()))?;
-        let nonce = PadSeed::new(wire.sender.raw(), self.id.raw(), wire.counter).to_nonce();
-        let aad = Self::aad(wire.sender, self.id, wire.counter);
+        let nonce = Self::nonce(wire.sender, self.id, wire.counter);
         // Verify first, record freshness second: a forged message must not
         // burn the counter it claims, or an attacker could block the
         // genuine message by sending garbage ahead of it.
+        let mut block = wire.ciphertext;
         self.gcm_for(wire.sender)
-            .open_detached_into(&nonce, &aad, &wire.ciphertext, &mac, plaintext)
+            .open_in_place_detached(&nonce, &nonce, &mut block, &mac)
             .map_err(|_| MgpuError::AuthenticationFailed {
                 context: format!(
                     "block MAC mismatch from {} at counter {}",
@@ -266,6 +270,8 @@ impl Endpoint {
                 ),
             })?;
         self.guard.check_fresh(wire.sender, wire.counter)?;
+        plaintext.clear();
+        plaintext.extend_from_slice(&block);
         Ok(Ack {
             from: self.id,
             counter: wire.counter,
@@ -287,20 +293,20 @@ impl Endpoint {
         peer: NodeId,
         block: &[u8; BLOCK_SIZE],
     ) -> (WireBlock, Option<BatchTrailer>) {
-        let mut wire = WireBlock {
-            sender: self.id,
-            receiver: peer,
-            counter: 0,
-            ciphertext: Vec::new(),
-            mac: None,
-            batch: None,
-        };
-        let trailer = self.seal_batched_block_into(peer, block, &mut wire);
+        let batch = self.batcher.peek_slot(peer);
+        let (mut wire, mac) = self.seal_next(peer, block);
+        wire.batch = Some(batch);
+        // Functional path: timing is modelled elsewhere, so batches close
+        // on size here and on explicit `flush_batch` calls, never on the
+        // batcher's own clock.
+        let trailer = self
+            .batcher
+            .add_block(Cycle::ZERO, peer, mac)
+            .map(|closed| self.close_batch(peer, &closed));
         (wire, trailer)
     }
 
-    /// [`seal_batched_block`] writing into a caller-owned [`WireBlock`],
-    /// reusing its ciphertext buffer.
+    /// [`seal_batched_block`] writing into a caller-owned [`WireBlock`].
     ///
     /// [`seal_batched_block`]: Endpoint::seal_batched_block
     pub fn seal_batched_block_into(
@@ -309,25 +315,8 @@ impl Endpoint {
         block: &[u8; BLOCK_SIZE],
         wire: &mut WireBlock,
     ) -> Option<BatchTrailer> {
-        let (batch_id, index) = self.batcher.peek_slot(peer);
-        let counter = self.next_ctr(peer);
-        let nonce = PadSeed::new(self.id.raw(), peer.raw(), counter).to_nonce();
-        let aad = Self::aad(self.id, peer, counter);
-        let gcm = self.gcm.get(peer).expect("peer within system");
-        let tag = gcm.seal_detached_into(&nonce, &aad, block, &mut wire.ciphertext);
-        let mac: MsgMac = tag[..8].try_into().expect("8-byte prefix");
-        // Functional path: timing is modelled elsewhere, so batches close
-        // on size here and on explicit `flush_batch` calls, never on the
-        // batcher's own clock.
-        let trailer = self
-            .batcher
-            .add_block(Cycle::ZERO, peer, mac)
-            .map(|closed| self.close_batch(peer, &closed));
-        wire.sender = self.id;
-        wire.receiver = peer;
-        wire.counter = counter;
-        wire.mac = None;
-        wire.batch = Some((batch_id, index));
+        let (sealed, trailer) = self.seal_batched_block(peer, block);
+        *wire = sealed;
         trailer
     }
 
@@ -418,9 +407,8 @@ impl Endpoint {
         concat: &[u8],
         ct_scratch: &mut Vec<u8>,
     ) -> MsgMac {
-        let nonce = PadSeed::new(me.raw(), peer.raw(), id | BATCH_NONCE_BIT).to_nonce();
-        let aad = Self::aad(me, peer, id | BATCH_NONCE_BIT);
-        let tag = gcm.seal_detached_into(&nonce, &aad, concat, ct_scratch);
+        let nonce = Self::nonce(me, peer, id | BATCH_NONCE_BIT);
+        let tag = gcm.seal_detached_into(&nonce, &nonce, concat, ct_scratch);
         tag[..8].try_into().expect("8-byte prefix")
     }
 
@@ -447,8 +435,7 @@ impl Endpoint {
     }
 
     /// [`open_batched_block`] decrypting into a caller-owned buffer,
-    /// reusing its allocation. On error the buffer's contents are
-    /// unspecified and must not be used.
+    /// reusing its allocation. On error the buffer is left untouched.
     ///
     /// # Errors
     ///
@@ -468,15 +455,12 @@ impl Endpoint {
         // still holds: a duplicated block hits an occupied MsgMAC-storage
         // slot (rejected below), and a replayed *batch* is caught by the
         // trailer's batch-id freshness check in `accept_trailer`.
-        let nonce = PadSeed::new(wire.sender.raw(), self.id.raw(), wire.counter).to_nonce();
-        let aad = Self::aad(wire.sender, self.id, wire.counter);
+        let nonce = Self::nonce(wire.sender, self.id, wire.counter);
         // Lazy verification: decrypt now, verify when the batch completes.
-        let tag = self.gcm_for(wire.sender).decrypt_and_tag_into(
-            &nonce,
-            &aad,
-            &wire.ciphertext,
-            plaintext,
-        );
+        let mut block = wire.ciphertext;
+        let tag = self
+            .gcm_for(wire.sender)
+            .decrypt_in_place_and_tag(&nonce, &nonce, &mut block);
         let mac: MsgMac = tag[..8].try_into().expect("8-byte prefix");
         self.storage
             .store_block(wire.sender, batch_id, index, mac)?;
@@ -496,6 +480,8 @@ impl Endpoint {
         } else {
             None
         };
+        plaintext.clear();
+        plaintext.extend_from_slice(&block);
         Ok(ack)
     }
 
@@ -566,9 +552,8 @@ impl Endpoint {
         let scratch = &mut self.scratch_ct;
         let trailer_mac = trailer.mac;
         let ok = self.storage.complete(sender, id, trailer.len, |concat| {
-            let nonce = PadSeed::new(sender.raw(), me.raw(), id | BATCH_NONCE_BIT).to_nonce();
-            let aad = Self::aad(sender, me, id | BATCH_NONCE_BIT);
-            let tag = gcm.seal_detached_into(&nonce, &aad, concat, scratch);
+            let nonce = Self::nonce(sender, me, id | BATCH_NONCE_BIT);
+            let tag = gcm.seal_detached_into(&nonce, &nonce, concat, scratch);
             tag[..8] == trailer_mac
         })?;
         if !ok {
@@ -658,7 +643,7 @@ mod tests {
         let block = [0x5A; 64];
         let w1 = a.seal_block(b.id(), &block);
         let w2 = a.seal_block(b.id(), &block);
-        assert_ne!(w1.ciphertext, block.to_vec());
+        assert_ne!(w1.ciphertext, block);
         // Same plaintext, fresh counter => fresh pad => fresh ciphertext.
         assert_ne!(w1.ciphertext, w2.ciphertext);
         assert_eq!(w1.counter + 1, w2.counter);

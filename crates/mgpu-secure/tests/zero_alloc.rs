@@ -1,30 +1,42 @@
 //! Proof that the steady-state secure-channel message path does not
-//! allocate (ISSUE: zero-allocation message path).
+//! allocate.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; after a
-//! warm-up phase (which grows every reusable buffer and dense-table slot to
-//! its steady-state size), the unbatched seal → open → ACK round trip must
-//! perform exactly zero heap allocations, and the batched path must
-//! allocate at most a small constant per *batch* (the `ClosedBatch` MAC
-//! vector that escapes to the caller by design), never per block.
+//! A counting `#[global_allocator]` wraps the system allocator and counts
+//! per thread, so sibling tests running concurrently in this binary never
+//! land in each other's counts. After a warm-up phase (which grows every
+//! reusable buffer and dense-table slot to its steady-state size), the
+//! unbatched seal → open → ACK round trip must perform exactly zero heap
+//! allocations, and the batched path must allocate nothing per block: only
+//! the per-batch work — the batch's MAC vector, created with its first
+//! block and handed to the caller in a `ClosedBatch` when it closes, and
+//! the trailer exchange — may allocate, at most once per batch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use mgpu_secure::channel::{Endpoint, WireBlock, BLOCK_SIZE};
+use mgpu_secure::channel::{Endpoint, BLOCK_SIZE};
 use mgpu_secure::key_exchange::KeyExchange;
 use mgpu_types::NodeId;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialised and free
+    /// of destructors, so reading it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` tolerates allocations made while the thread is torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: pure pass-through to the system allocator — every contract
 // (layout validity, pointer provenance) is forwarded unchanged from the
 // caller, and the counter side effect never touches allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: caller upholds `alloc`'s contract; forwarded verbatim.
         unsafe { System.alloc(layout) }
     }
@@ -35,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: caller upholds `realloc`'s contract; forwarded verbatim.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -45,7 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 fn pair() -> (Endpoint, Endpoint) {
@@ -56,26 +68,16 @@ fn pair() -> (Endpoint, Endpoint) {
     )
 }
 
-fn empty_wire(sender: NodeId, receiver: NodeId) -> WireBlock {
-    WireBlock {
-        sender,
-        receiver,
-        counter: 0,
-        ciphertext: Vec::new(),
-        mac: None,
-        batch: None,
-    }
-}
-
 #[test]
 fn unbatched_roundtrip_is_allocation_free_after_warmup() {
     let (mut a, mut b) = pair();
-    let mut wire = empty_wire(a.id(), b.id());
+    let mut wire = a.seal_block(b.id(), &[0; BLOCK_SIZE]);
+    b.open_block(&wire).expect("authentic");
     let mut plaintext = Vec::new();
     let block = [0x5A; BLOCK_SIZE];
 
-    // Warm-up: grows the ciphertext/plaintext buffers, the dense per-peer
-    // tables, and the replay guard's outstanding vectors.
+    // Warm-up: grows the plaintext buffer, the dense per-peer tables, and
+    // the replay guard's outstanding vectors.
     for _ in 0..16 {
         a.seal_block_into(b.id(), &block, &mut wire);
         let ack = b.open_block_into(&wire, &mut plaintext).expect("authentic");
@@ -86,7 +88,7 @@ fn unbatched_roundtrip_is_allocation_free_after_warmup() {
     for i in 0..1000u64 {
         a.seal_block_into(b.id(), &block, &mut wire);
         let ack = b.open_block_into(&wire, &mut plaintext).expect("authentic");
-        assert_eq!(plaintext[0], 0x5A, "round {i} decrypted correctly");
+        assert_eq!(plaintext[..], block[..], "round {i} decrypted correctly");
         a.accept_ack(&ack).expect("fresh");
     }
     let allocations = alloc_count() - before;
@@ -99,46 +101,71 @@ fn unbatched_roundtrip_is_allocation_free_after_warmup() {
 #[test]
 fn batched_path_allocates_per_batch_not_per_block() {
     let (mut a, mut b) = pair();
-    let mut wire = empty_wire(a.id(), b.id());
+    let mut wire = a.seal_block(b.id(), &[0; BLOCK_SIZE]);
+    b.open_block(&wire).expect("authentic");
     let mut plaintext = Vec::new();
     let block = [0xC3; BLOCK_SIZE];
     let batch_size = 16u64;
 
+    // One block round trip (plus its batch's trailer exchange when it
+    // closes one); returns the allocations attributable to per-batch work.
+    let mut round = |wire: &mut _, plaintext: &mut Vec<u8>, steady: bool| {
+        let before = alloc_count();
+        let trailer = a.seal_batched_block_into(b.id(), &block, wire);
+        let ack = b.open_batched_block_into(wire, plaintext).expect("stored");
+        assert!(ack.is_none(), "trailer not yet seen");
+        assert_eq!(plaintext[..], block[..]);
+        let block_allocs = alloc_count() - before;
+        let (_, index) = wire.batch.expect("batched block");
+        let mut batch_allocs = 0;
+        if index == 0 || trailer.is_some() {
+            // The batch's first block creates its MAC vector; its last
+            // one closes it.
+            batch_allocs += block_allocs;
+        } else if steady {
+            assert_eq!(block_allocs, 0, "mid-batch block {index} allocated");
+        }
+        if let Some(t) = trailer {
+            let before = alloc_count();
+            let ack = b.accept_trailer(&t).expect("verifies").expect("complete");
+            a.accept_ack(&ack).expect("fresh");
+            batch_allocs += alloc_count() - before;
+        }
+        batch_allocs
+    };
+
     // Warm-up: several full batches so the MsgMAC-storage spare pool and
     // every scratch buffer reach steady state.
     for _ in 0..4 * batch_size {
-        let trailer = a.seal_batched_block_into(b.id(), &block, &mut wire);
-        let ack = b
-            .open_batched_block_into(&wire, &mut plaintext)
-            .expect("stored");
-        assert!(ack.is_none(), "trailer not yet seen");
-        if let Some(t) = trailer {
-            let ack = b.accept_trailer(&t).expect("verifies").expect("complete");
-            a.accept_ack(&ack).expect("fresh");
-        }
+        round(&mut wire, &mut plaintext, false);
     }
 
     let batches = 64u64;
-    let before = alloc_count();
-    for _ in 0..batches * batch_size {
-        let trailer = a.seal_batched_block_into(b.id(), &block, &mut wire);
-        let ack = b
-            .open_batched_block_into(&wire, &mut plaintext)
-            .expect("stored");
-        assert!(ack.is_none());
-        if let Some(t) = trailer {
-            let ack = b.accept_trailer(&t).expect("verifies").expect("complete");
-            a.accept_ack(&ack).expect("fresh");
-        }
-    }
-    let allocations = alloc_count() - before;
-    // Each closed batch hands its MAC vector to the caller (`ClosedBatch`
-    // escapes by design), so a fresh one is allocated per batch — but the
-    // per-block path must stay allocation-free.
+    let allocations: u64 = (0..batches * batch_size)
+        .map(|_| round(&mut wire, &mut plaintext, true))
+        .sum();
     assert!(
-        allocations <= 2 * batches,
+        allocations <= batches,
         "batched path allocated {allocations} times over {batches} batches \
-         ({} blocks) — expected at most 2 per batch",
+         ({} blocks) — expected at most 1 per batch",
         batches * batch_size
     );
+}
+
+#[test]
+fn gcm_in_place_core_never_allocates() {
+    let gcm = mgpu_crypto::AesGcm::new(&[7; 16]);
+    let nonce = [3; 12];
+    let mut buf = [0x11; BLOCK_SIZE];
+    let before = alloc_count();
+    for _ in 0..1000 {
+        let tag = gcm.seal_in_place_detached(&nonce, &nonce, &mut buf);
+        let lazy = gcm.decrypt_in_place_and_tag(&nonce, &nonce, &mut buf);
+        assert_eq!(lazy, tag);
+        gcm.seal_in_place_detached(&nonce, &nonce, &mut buf);
+        gcm.open_in_place_detached(&nonce, &nonce, &mut buf, &tag[..8])
+            .expect("authentic");
+    }
+    assert_eq!(alloc_count() - before, 0, "in-place AES-GCM allocated");
+    assert_eq!(buf, [0x11; BLOCK_SIZE]);
 }

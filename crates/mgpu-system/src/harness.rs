@@ -18,7 +18,9 @@
 use mgpu_secure::adversary::{FaultKind, FaultPlan, SecurityEvent, SecurityEventLog};
 use mgpu_secure::channel::{Ack, BatchTrailer, Endpoint, WireBlock, BATCH_NONCE_BIT, BLOCK_SIZE};
 use mgpu_secure::key_exchange::KeyExchange;
-use mgpu_types::{Cycle, DenseNodeMap, Duration, NodeId, PairId, PairTable, SystemConfig};
+use mgpu_types::{
+    Cycle, DenseNodeMap, Duration, MgpuError, NodeId, PairId, PairTable, SystemConfig,
+};
 
 /// Session key-exchange seed for the harness's functional endpoints. The
 /// adversary model grants wire access, not key access, so any fixed seed
@@ -26,7 +28,8 @@ use mgpu_types::{Cycle, DenseNodeMap, Duration, NodeId, PairId, PairTable, Syste
 const HARNESS_BOOT_KEY: [u8; 16] = [0x42; 16];
 
 /// Receive-side bookkeeping for one in-flight batch on a `src → dst`
-/// stream.
+/// stream. Reset, not dropped, when the batch's trailer lands, so the
+/// `wires` vector keeps its capacity from batch to batch.
 #[derive(Debug, Default)]
 struct OpenBatch {
     /// Clean copies of every wire block, for post-detection retransmission.
@@ -57,6 +60,8 @@ pub struct WireHarness {
     ack_timeout: Duration,
     open: PairTable<OpenBatch>,
     seq: PairTable<u64>,
+    /// Reusable plaintext buffer every block is opened into.
+    plaintext: Vec<u8>,
     /// When true, detections are additionally queued for the
     /// observability trace (drained via [`WireHarness::take_trace`]).
     tracing: bool,
@@ -95,6 +100,7 @@ impl WireHarness {
             ack_timeout: Duration::cycles(4 * config.link_latency.as_u64()),
             open: PairTable::new(),
             seq: PairTable::new(),
+            plaintext: Vec::with_capacity(BLOCK_SIZE),
             tracing: config.observability.enabled,
             trace: Vec::new(),
         }
@@ -137,6 +143,27 @@ impl WireHarness {
         self.endpoints.get_mut(node).expect("node within system")
     }
 
+    /// Opens an unbatched block at `dst` into the reusable plaintext
+    /// buffer.
+    fn open_block(&mut self, dst: NodeId, wire: &WireBlock) -> Result<Ack, MgpuError> {
+        self.endpoints
+            .get_mut(dst)
+            .expect("node within system")
+            .open_block_into(wire, &mut self.plaintext)
+    }
+
+    /// Opens a batched block at `dst` into the reusable plaintext buffer.
+    fn open_batched_block(
+        &mut self,
+        dst: NodeId,
+        wire: &WireBlock,
+    ) -> Result<Option<Ack>, MgpuError> {
+        self.endpoints
+            .get_mut(dst)
+            .expect("node within system")
+            .open_batched_block_into(wire, &mut self.plaintext)
+    }
+
     fn detect(&mut self, kind: FaultKind, src: NodeId, dst: NodeId, injected: Cycle, at: Cycle) {
         let event = SecurityEvent {
             kind,
@@ -172,10 +199,11 @@ impl WireHarness {
         let seq = self.next_seq(src, dst);
         let block = Self::payload(src, dst, seq);
         let wire = self.ep(src).seal_block(dst, &block);
+        self.log.record_sealed();
         match self.plan.draw(&FaultKind::UNBATCHED_BLOCK) {
-            None => match self.ep(dst).open_block(&wire) {
-                Ok((plain, ack)) => {
-                    if plain != block {
+            None => match self.open_block(dst, &wire) {
+                Ok(ack) => {
+                    if self.plaintext[..] != block[..] {
                         self.log.record_false_positive();
                     }
                     self.deliver_ack(now, src, &ack, None)
@@ -186,16 +214,16 @@ impl WireHarness {
                 }
             },
             Some(FaultKind::FlipMac) => {
-                let mut bad = wire.clone();
+                let mut bad = wire;
                 self.flip_mac_byte(bad.mac.as_mut().expect("unbatched block has MAC"));
-                match self.ep(dst).open_block(&bad) {
+                match self.open_block(dst, &bad) {
                     Err(_) => self.detect(FaultKind::FlipMac, src, dst, now, now),
                     Ok(_) => self.log.record_miss(FaultKind::FlipMac),
                 }
                 // Verify-before-freshness: the forged copy must not have
                 // burned the counter, so the genuine retransmission lands.
-                match self.ep(dst).open_block(&wire) {
-                    Ok((_, ack)) => {
+                match self.open_block(dst, &wire) {
+                    Ok(ack) => {
                         self.deliver_ack(now, src, &ack, None);
                     }
                     Err(_) => self.log.record_false_positive(),
@@ -204,21 +232,21 @@ impl WireHarness {
             }
             Some(FaultKind::ReplayBlock) => {
                 // Deliver the genuine block first, then replay it.
-                match self.ep(dst).open_block(&wire) {
-                    Ok((_, ack)) => {
+                match self.open_block(dst, &wire) {
+                    Ok(ack) => {
                         self.deliver_ack(now, src, &ack, None);
                     }
                     Err(_) => self.log.record_false_positive(),
                 }
-                match self.ep(dst).open_block(&wire) {
+                match self.open_block(dst, &wire) {
                     Err(_) => self.detect(FaultKind::ReplayBlock, src, dst, now, now),
                     Ok(_) => self.log.record_miss(FaultKind::ReplayBlock),
                 }
                 1
             }
             fault @ Some(FaultKind::DropAck | FaultKind::ForgeAck) => {
-                match self.ep(dst).open_block(&wire) {
-                    Ok((_, ack)) => self.deliver_ack(now, src, &ack, fault),
+                match self.open_block(dst, &wire) {
+                    Ok(ack) => self.deliver_ack(now, src, &ack, fault),
                     Err(_) => {
                         self.log.record_false_positive();
                         0
@@ -277,6 +305,7 @@ impl WireHarness {
         let seq = self.next_seq(src, dst);
         let block = Self::payload(src, dst, seq);
         let (wire, trailer) = self.ep(src).seal_batched_block(dst, &block);
+        self.log.record_sealed();
         let mut tampered = 0u64;
 
         let held = self
@@ -288,7 +317,7 @@ impl WireHarness {
             // Apply the staged reorder: swap the two blocks' batch-index
             // labels, then deliver both. Lazy verification accepts them;
             // the trailer's batched MAC covers MAC *order* and trips.
-            let mut late = wire.clone();
+            let mut late = wire;
             let (e, l) = (
                 early.batch.expect("batched block"),
                 late.batch.expect("batched block"),
@@ -296,7 +325,7 @@ impl WireHarness {
             early.batch = Some((e.0, l.1));
             late.batch = Some((l.0, e.1));
             for swapped in [&early, &late] {
-                if self.ep(dst).open_batched_block(swapped).is_err() {
+                if self.open_batched_block(dst, swapped).is_err() {
                     // Reordering is invisible until the trailer; an error
                     // here means a defense fired on plausible traffic.
                     self.log.record_false_positive();
@@ -304,7 +333,7 @@ impl WireHarness {
             }
             let state = self.open.get_or_insert_with(key, OpenBatch::default);
             state.poison = Some((FaultKind::ReorderBatch, now));
-            state.wires.push(wire.clone());
+            state.wires.push(wire);
             tampered += 2;
         } else {
             let poisoned = self.open.get(key).is_some_and(|s| s.poison.is_some());
@@ -317,11 +346,11 @@ impl WireHarness {
                 Some(FaultKind::FlipMac) => {
                     // Batched blocks carry no wire MAC; flipping ciphertext
                     // corrupts the MAC recomputed at the receiver.
-                    let mut bad = wire.clone();
+                    let mut bad = wire;
                     let byte = self.plan.pick(bad.ciphertext.len());
                     let bit = self.plan.pick(8) as u8;
                     bad.ciphertext[byte] ^= 1 << bit;
-                    match self.ep(dst).open_batched_block(&bad) {
+                    match self.open_batched_block(dst, &bad) {
                         // Lazy path: tampering is latent until the trailer.
                         Ok(_) => {
                             self.open.get_or_insert_with(key, OpenBatch::default).poison =
@@ -334,37 +363,37 @@ impl WireHarness {
                     self.open
                         .get_or_insert_with(key, OpenBatch::default)
                         .wires
-                        .push(wire.clone());
+                        .push(wire);
                     tampered += 1;
                 }
                 Some(FaultKind::ReplayBlock) => {
-                    if self.ep(dst).open_batched_block(&wire).is_err() {
+                    if self.open_batched_block(dst, &wire).is_err() {
                         self.log.record_false_positive();
                     }
                     // The duplicate hits an occupied MsgMAC-storage slot.
-                    match self.ep(dst).open_batched_block(&wire) {
+                    match self.open_batched_block(dst, &wire) {
                         Err(_) => self.detect(FaultKind::ReplayBlock, src, dst, now, now),
                         Ok(_) => self.log.record_miss(FaultKind::ReplayBlock),
                     }
                     self.open
                         .get_or_insert_with(key, OpenBatch::default)
                         .wires
-                        .push(wire.clone());
+                        .push(wire);
                     tampered += 1;
                 }
                 Some(FaultKind::ReorderBatch) if trailer.is_none() => {
                     // Stage: withhold this block, swap it with the next.
                     let state = self.open.get_or_insert_with(key, OpenBatch::default);
-                    state.held = Some(wire.clone());
-                    state.wires.push(wire.clone());
+                    state.held = Some(wire);
+                    state.wires.push(wire);
                 }
                 _ => {
                     // Clean delivery (includes ReorderBatch drawn on the
                     // batch-closing block, where no partner can follow —
                     // the injection simply does not happen).
-                    match self.ep(dst).open_batched_block(&wire) {
-                        Ok((plain, ack)) => {
-                            if plain != block {
+                    match self.open_batched_block(dst, &wire) {
+                        Ok(ack) => {
+                            if self.plaintext[..] != block[..] {
                                 self.log.record_false_positive();
                             }
                             if let Some(ack) = ack {
@@ -376,7 +405,7 @@ impl WireHarness {
                     self.open
                         .get_or_insert_with(key, OpenBatch::default)
                         .wires
-                        .push(wire.clone());
+                        .push(wire);
                 }
             }
         }
@@ -389,9 +418,16 @@ impl WireHarness {
 
     /// A batch trailer crosses the wire. Returns tampered crossings.
     fn on_trailer(&mut self, now: Cycle, src: NodeId, dst: NodeId, trailer: &BatchTrailer) -> u64 {
-        let state = self.open.remove(PairId::new(src, dst)).unwrap_or_default();
+        // Reset the stream's batch state in place, keeping its `wires`
+        // allocation for the next batch.
+        let state = self
+            .open
+            .get_or_insert_with(PairId::new(src, dst), OpenBatch::default);
+        state.held = None;
+        let poison = state.poison.take();
+        let mut wires = std::mem::take(&mut state.wires);
 
-        if let Some((kind, injected_at)) = state.poison {
+        if let Some((kind, injected_at)) = poison {
             // A fault latent in this batch must surface when the genuine
             // trailer fails to verify against the corrupted stored MACs.
             match self.ep(dst).accept_trailer(trailer) {
@@ -409,12 +445,17 @@ impl WireHarness {
             // the clean blocks; the trailer retransmission below is
             // itself a fresh attack opportunity.
             self.ep(dst).discard_batch(src, trailer.id);
-            for wire in &state.wires {
-                if self.ep(dst).open_batched_block(wire).is_err() {
+            for wire in &wires {
+                if self.open_batched_block(dst, wire).is_err() {
                     self.log.record_false_positive();
                 }
             }
         }
+        wires.clear();
+        self.open
+            .get_mut(PairId::new(src, dst))
+            .expect("state reset above")
+            .wires = wires;
 
         self.deliver_trailer(now, src, dst, trailer)
     }
@@ -515,7 +556,7 @@ impl WireHarness {
             .get_mut(PairId::new(src, dst))
             .and_then(|s| s.held.take());
         if let Some(wire) = held {
-            if self.ep(dst).open_batched_block(&wire).is_err() {
+            if self.open_batched_block(dst, &wire).is_err() {
                 self.log.record_false_positive();
             }
         }

@@ -189,20 +189,26 @@ fn open_loop_serving_cell_stays_bit_for_bit() {
     }
 }
 
-/// Crypto-backend parity: the entire 12-cell golden matrix must be
-/// bit-for-bit identical whether the functional crypto runs on the
+/// Crypto-backend parity: armed cells — where the wire harness seals,
+/// opens and MACs every block with real AES-GCM — must produce identical
+/// reports and security logs whether the functional crypto runs on the
 /// software T-table/Shoup paths or the hardware AES-NI/PCLMULQDQ paths.
 /// The backends are property-tested equal primitive-by-primitive in
-/// `mgpu-crypto`; this asserts the end-to-end claim at the system level —
-/// every pad, GCM seal, and batch-trailer MAC included. On hosts without
-/// the hardware features both halves run soft and the test degenerates to
-/// the plain golden check.
+/// `mgpu-crypto`; this asserts the end-to-end claim at the system level,
+/// on the unbatched (per-block MACs) and batched (lazy verification,
+/// trailer MACs) protocols, and checks that crypto actually ran. On hosts
+/// without the hardware features both halves run soft.
 #[test]
-fn crypto_backends_reproduce_identical_golden_matrix() {
+fn crypto_backends_reproduce_identical_armed_reports() {
     use mgpu_crypto::backend::{set_default_backend, Backend};
+    use mgpu_types::AdversaryConfig;
 
-    let base = SystemConfig::paper_4gpu();
-    let cfgs = scheme_matrix(&base);
+    let mut base = SystemConfig::paper_4gpu();
+    base.adversary = AdversaryConfig::active(100);
+    let cfgs = vec![
+        ("private-4x".to_string(), configs::private(&base, 4)),
+        ("batching-4x".to_string(), configs::batching(&base, 4)),
+    ];
     let auto = if Backend::HwAesClmul.is_available() {
         Backend::HwAesClmul
     } else {
@@ -214,12 +220,23 @@ fn crypto_backends_reproduce_identical_golden_matrix() {
         set_default_backend(auto);
         let hw = compare_schemes(bench, &cfgs, 200, 42);
         for (s, h) in soft.iter().zip(hw.iter()) {
+            let context = format!("{} / {bench:?}: soft vs {} backend", s.label, auto.name());
+            assert!(
+                s.report.security.blocks_sealed() > 0,
+                "{context}: no block was sealed"
+            );
+            assert!(
+                s.report.security.total_injected() > 0,
+                "{context}: the adversary never struck"
+            );
+            assert_eq!(
+                s.report.security, h.report.security,
+                "{context}: security log drift"
+            );
             assert_eq!(
                 format!("{:?}", s.report),
                 format!("{:?}", h.report),
-                "{} / {bench:?}: soft vs {} backend digest drift",
-                s.label,
-                auto.name(),
+                "{context}: report drift"
             );
         }
     }

@@ -1,28 +1,38 @@
 //! Proof that open-loop arrival generation does not allocate per request
 //! (ISSUE: `ServingModel::zipf_cdf` memoization).
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; after a
-//! warm-up call (which builds the memoized Zipf CDF), every further
+//! A counting `#[global_allocator]` wraps the system allocator and counts
+//! per thread, so the sibling test running concurrently in this binary
+//! never lands in the counts; after a warm-up call (which builds the memoized Zipf CDF), every further
 //! `generate_for` must allocate only a small constant number of times —
 //! the output vector and the peer-ranking scratch — independent of the
 //! request count and with no per-call CDF rebuild.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mgpu_types::NodeId;
 use mgpu_workloads::{ArrivalProcess, ServingModel};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialised and free
+    /// of destructors, so reading it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` tolerates allocations made while the thread is torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: pure pass-through to the system allocator — every contract
 // (layout validity, pointer provenance) is forwarded unchanged from the
 // caller, and the counter side effect never touches allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: caller upholds `alloc`'s contract; forwarded verbatim.
         unsafe { System.alloc(layout) }
     }
@@ -33,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: caller upholds `realloc`'s contract; forwarded verbatim.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -43,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Allocations of one `generate_for` call producing `count` requests.

@@ -51,7 +51,7 @@ fn every_random_tamper_is_detected() {
             .unwrap()
             .seal_block(NodeId::gpu(2), &[0x77; 64]);
         // Tamper with a random byte of ciphertext or MAC.
-        let mut bad: WireBlock = wire.clone();
+        let mut bad: WireBlock = wire;
         if rng.random_bool(0.5) {
             let idx = rng.random_range(0..bad.ciphertext.len());
             bad.ciphertext[idx] ^= 1u8 << rng.random_range(0u32..8);
