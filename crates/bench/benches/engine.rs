@@ -7,9 +7,12 @@
 //!   [`HeapEventQueue`] oracle under the simulator's characteristic
 //!   event-gap distribution (same-cycle reissues, link latencies, DRAM
 //!   access, flush timeouts) at a sustained backlog, isolating the
-//!   scheduler from the rest of the engine.
+//!   scheduler from the rest of the engine; plus `calendar-cold-cell`,
+//!   the life of one short simulation cell's queue: built fresh, about
+//!   20k events over about 17k cycles with a 16-byte payload, drained.
 //! * `engine` — representative simulation cells (a fig25-style 4-GPU
-//!   batching run and a topology-scaling-style 8-GPU ring run). Each cell
+//!   batching run, a topology-scaling-style 8-GPU ring run and a 16-GPU
+//!   Dynamic cell from the paper-scale scheme matrix). Each cell
 //!   reports wall-clock per run through criterion and prints an
 //!   `engine-events-per-sec` line derived from the run's
 //!   `events_processed` count; CI's bench-smoke gate parses that line and
@@ -33,6 +36,32 @@ const GAPS: [u64; 8] = [0, 2, 7, 40, 100, 161, 200, 1000];
 /// matching the order of magnitude a busy 8-GPU cell sustains.
 const BACKLOG: usize = 512;
 
+/// Events scheduled over one cold cell's queue lifetime.
+const CELL_EVENTS: u64 = 20_000;
+
+/// Pending events a cold cell keeps in flight; with the mean of `GAPS`
+/// this spreads `CELL_EVENTS` over about 17k cycles.
+const CELL_POPULATION: u64 = 224;
+
+/// One short cell's queue, start to finish: a fresh queue, a population
+/// of `CELL_POPULATION` events each rescheduled on pop until
+/// `CELL_EVENTS` were scheduled, then drained. Returns the final cycle.
+fn cold_cell() -> u64 {
+    let mut q: EventQueue<(u64, u64)> = EventQueue::new();
+    for i in 0..CELL_POPULATION {
+        q.schedule(Cycle::new(GAPS[(i % 8) as usize]), (i, 0));
+    }
+    let mut scheduled = CELL_POPULATION;
+    while let Some((now, (i, n))) = q.pop() {
+        if scheduled < CELL_EVENTS {
+            let gap = GAPS[((i + n) % 8) as usize];
+            q.schedule(Cycle::new(now.as_u64() + gap), black_box((i, n + 1)));
+            scheduled += 1;
+        }
+    }
+    q.now().as_u64()
+}
+
 fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine-queue");
     group.bench_function("calendar-pop-schedule", |b| {
@@ -49,6 +78,11 @@ fn bench_event_queue(c: &mut Criterion) {
             payload
         });
     });
+    println!(
+        "calendar-cold-cell: {CELL_EVENTS} events over {} cycles",
+        cold_cell()
+    );
+    group.bench_function("calendar-cold-cell", |b| b.iter(cold_cell));
     group.bench_function("heap-pop-schedule", |b| {
         let mut q = HeapEventQueue::new();
         for i in 0..BACKLOG {
@@ -66,14 +100,19 @@ fn bench_event_queue(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cells the throughput gate tracks: the same shapes fig25 and the
-/// topology-scaling sweep lean on hardest.
+/// The cells the throughput gate tracks: the same shapes fig25, the
+/// topology-scaling sweep and the paper-scale scheme matrix lean on
+/// hardest.
 fn cells() -> Vec<(&'static str, SystemConfig)> {
     let base4 = SystemConfig::paper_4gpu();
     let base8 = SystemConfig::paper_8gpu().with_topology(TopologyKind::Ring);
     vec![
         ("4gpu-batching", configs::batching(&base4, 4)),
         ("8gpu-ring-batching", configs::batching(&base8, 4)),
+        (
+            "16gpu-dynamic",
+            configs::dynamic(&SystemConfig::paper_16gpu(), 4),
+        ),
     ]
 }
 

@@ -93,7 +93,7 @@ fn bench_otp(c: &mut Criterion) {
                 mon.observe_send(p);
             }
         }
-        b.iter(|| mon.end_interval(black_box(128)));
+        b.iter(|| mon.end_interval(black_box(128)).total());
     });
     group.bench_function("batcher-add-block", |b| {
         let mut batcher = SenderBatcher::new(16, Duration::cycles(160));

@@ -14,12 +14,28 @@
 //! The paper's formulas produce real numbers; buffers are discrete. We use
 //! largest-remainder rounding so the integer allocation always conserves
 //! the pool exactly — an invariant the property tests pin down.
+//!
+//! Repartitioning allocates nothing after the first interval: the
+//! per-peer pad targets land in buffers the [`EwmaAllocator`] owns and
+//! reuses, [`partition`] works in a caller-owned [`Partition`], and the
+//! returned [`Allocation`] is a borrowed view over those buffers. Peer
+//! lookups on the monitoring path are a single dense-table index.
 
-use mgpu_types::NodeId;
-use std::collections::BTreeMap;
+use mgpu_types::{DenseNodeMap, NodeId};
+
+/// Output and scratch buffers of [`partition`], reused across calls so
+/// repeated partitioning allocates nothing once the buffers have grown to
+/// the largest weight count seen.
+#[derive(Debug, Clone, Default)]
+pub struct Partition {
+    shares: Vec<u32>,
+    quotas: Vec<f64>,
+    order: Vec<usize>,
+}
 
 /// Splits `total` units proportionally to `weights` using the
-/// largest-remainder method. The result always sums to `total`.
+/// largest-remainder method, writing the shares into `out` and returning
+/// them. The result always sums to `total`.
 ///
 /// Weights are sanitized before use: negative and **non-finite** values
 /// (NaN, ±inf) are treated as zero. EWMA state can only go non-finite if a
@@ -31,62 +47,80 @@ use std::collections::BTreeMap;
 /// # Examples
 ///
 /// ```
-/// use mgpu_secure::ewma::partition;
+/// use mgpu_secure::ewma::{partition, Partition};
 ///
-/// assert_eq!(partition(10, &[0.5, 0.5]), vec![5, 5]);
-/// assert_eq!(partition(10, &[0.74, 0.26]), vec![7, 3]);
-/// assert_eq!(partition(7, &[1.0, 1.0, 1.0]).iter().sum::<u32>(), 7);
+/// let mut out = Partition::default();
+/// assert_eq!(partition(10, &[0.5, 0.5], &mut out), [5, 5]);
+/// assert_eq!(partition(10, &[0.74, 0.26], &mut out), [7, 3]);
+/// assert_eq!(partition(7, &[1.0, 1.0, 1.0], &mut out).iter().sum::<u32>(), 7);
 /// // Non-finite weights are ignored, not propagated.
-/// assert_eq!(partition(8, &[f64::NAN, 1.0, f64::INFINITY]), vec![0, 8, 0]);
+/// assert_eq!(partition(8, &[f64::NAN, 1.0, f64::INFINITY], &mut out), [0, 8, 0]);
 /// ```
-#[must_use]
-pub fn partition(total: u32, weights: &[f64]) -> Vec<u32> {
+pub fn partition<'a>(total: u32, weights: &[f64], out: &'a mut Partition) -> &'a [u32] {
+    let Partition {
+        shares,
+        quotas,
+        order,
+    } = out;
+    shares.clear();
     if weights.is_empty() {
-        return Vec::new();
+        return shares;
     }
-    let clamped: Vec<f64> = weights
-        .iter()
-        .map(|w| if w.is_finite() { w.max(0.0) } else { 0.0 })
-        .collect();
-    let sum: f64 = clamped.iter().sum();
-    let quotas: Vec<f64> = if sum > 0.0 {
-        clamped.iter().map(|w| f64::from(total) * w / sum).collect()
+    let clamp = |w: &f64| if w.is_finite() { w.max(0.0) } else { 0.0 };
+    let sum: f64 = weights.iter().map(clamp).sum();
+    quotas.clear();
+    if sum > 0.0 {
+        quotas.extend(weights.iter().map(|w| f64::from(total) * clamp(w) / sum));
     } else {
-        vec![f64::from(total) / weights.len() as f64; weights.len()]
-    };
-    let mut alloc: Vec<u32> = quotas.iter().map(|q| q.floor() as u32).collect();
-    let assigned: u32 = alloc.iter().sum();
-    let mut remainder_order: Vec<usize> = (0..weights.len()).collect();
-    remainder_order.sort_by(|&a, &b| {
+        quotas.resize(weights.len(), f64::from(total) / weights.len() as f64);
+    }
+    shares.extend(quotas.iter().map(|q| q.floor() as u32));
+    let assigned: u32 = shares.iter().sum();
+    order.clear();
+    order.extend(0..weights.len());
+    // Ties break on the index, so the comparator is a total order and an
+    // unstable sort yields the same permutation as a stable one.
+    order.sort_unstable_by(|&a, &b| {
         let fa = quotas[a] - quotas[a].floor();
         let fb = quotas[b] - quotas[b].floor();
         fb.total_cmp(&fa).then(a.cmp(&b))
     });
     let mut leftover = total - assigned;
-    for &i in &remainder_order {
+    for &i in order.iter() {
         if leftover == 0 {
             break;
         }
-        alloc[i] += 1;
+        shares[i] += 1;
         leftover -= 1;
     }
-    alloc
+    shares
 }
 
-/// The integer OTP buffer allocation produced at an interval boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allocation {
+/// The integer OTP buffer allocation produced at an interval boundary: a
+/// view over the allocator's buffers, with per-peer entries in peer
+/// registration order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Allocation<'a> {
+    peers: &'a [NodeId],
+    send: &'a [u32],
+    recv: &'a [u32],
+}
+
+impl<'a> Allocation<'a> {
     /// Pads per peer in the send direction (Formula 4, `SPad^m`).
-    pub send: BTreeMap<NodeId, u32>,
-    /// Pads per peer in the receive direction (`RPad^m`).
-    pub recv: BTreeMap<NodeId, u32>,
-}
+    pub fn send(&self) -> impl Iterator<Item = (NodeId, u32)> + 'a {
+        self.peers.iter().copied().zip(self.send.iter().copied())
+    }
 
-impl Allocation {
+    /// Pads per peer in the receive direction (`RPad^m`).
+    pub fn recv(&self) -> impl Iterator<Item = (NodeId, u32)> + 'a {
+        self.peers.iter().copied().zip(self.recv.iter().copied())
+    }
+
     /// Total pads allocated across both directions.
     #[must_use]
     pub fn total(&self) -> u32 {
-        self.send.values().sum::<u32>() + self.recv.values().sum::<u32>()
+        self.send.iter().sum::<u32>() + self.recv.iter().sum::<u32>()
     }
 }
 
@@ -106,13 +140,15 @@ impl Allocation {
 /// let alloc = mon.end_interval(32);
 /// assert_eq!(alloc.total(), 32);
 /// // The send direction won more than half the pool.
-/// assert!(alloc.send.values().sum::<u32>() > 16);
+/// assert!(alloc.send().map(|(_, pads)| pads).sum::<u32>() > 16);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EwmaAllocator {
     alpha: f64,
     beta: f64,
     peers: Vec<NodeId>,
+    /// Registration index of each peer, addressed by node id.
+    slot: DenseNodeMap<usize>,
     /// Send-direction weight `S_i` (Formula 1).
     s: f64,
     /// Per-peer send weights `S^m_i` (Formula 3).
@@ -125,6 +161,12 @@ pub struct EwmaAllocator {
     /// Guaranteed minimum pads per peer per direction.
     floor: u32,
     intervals: u64,
+    /// Per-peer pad targets of the last interval, viewed by [`Allocation`].
+    send_pads: Vec<u32>,
+    recv_pads: Vec<u32>,
+    /// Square-rooted weights of one direction, the input to [`partition`].
+    sqrt_weights: Vec<f64>,
+    split: Partition,
 }
 
 impl EwmaAllocator {
@@ -146,10 +188,18 @@ impl EwmaAllocator {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha in (0,1]");
         assert!(beta > 0.0 && beta <= 1.0, "beta in (0,1]");
         let n = peers.len();
+        let mut slot = DenseNodeMap::new();
+        for (i, &peer) in peers.iter().enumerate() {
+            // A repeated peer counts toward its first registration.
+            if !slot.contains_key(peer) {
+                slot.insert(peer, i);
+            }
+        }
         EwmaAllocator {
             alpha,
             beta,
             peers: peers.to_vec(),
+            slot,
             s: 0.5,
             send_weights: vec![1.0 / n as f64; n],
             recv_weights: vec![1.0 / n as f64; n],
@@ -157,6 +207,10 @@ impl EwmaAllocator {
             recv_counts: vec![0; n],
             floor: 0,
             intervals: 0,
+            send_pads: Vec::with_capacity(n),
+            recv_pads: Vec::with_capacity(n),
+            sqrt_weights: Vec::with_capacity(n),
+            split: Partition::default(),
         }
     }
 
@@ -175,10 +229,7 @@ impl EwmaAllocator {
     }
 
     fn peer_index(&self, peer: NodeId) -> usize {
-        self.peers
-            .iter()
-            .position(|&p| p == peer)
-            .expect("peer registered with allocator")
+        *self.slot.get(peer).expect("peer registered with allocator")
     }
 
     /// Records one send request toward `peer` in the current interval.
@@ -238,13 +289,12 @@ impl EwmaAllocator {
     ///
     /// With no registered peers the allocation is trivially empty (and the
     /// interval still counts) — previously this divided by `2 * n == 0`.
-    pub fn end_interval(&mut self, total_buffers: u32) -> Allocation {
+    pub fn end_interval(&mut self, total_buffers: u32) -> Allocation<'_> {
+        self.send_pads.clear();
+        self.recv_pads.clear();
         if self.peers.is_empty() {
             self.intervals += 1;
-            return Allocation {
-                send: BTreeMap::new(),
-                recv: BTreeMap::new(),
-            };
+            return self.allocation();
         }
         let send_total: u64 = self.send_counts.iter().sum();
         let recv_total: u64 = self.recv_counts.iter().sum();
@@ -279,38 +329,31 @@ impl EwmaAllocator {
         let n = self.peers.len() as u32;
         let floor = self.floor.min(total_buffers / (2 * n));
         let flexible = total_buffers - 2 * n * floor;
-        let split = partition(flexible, &[self.s, 1.0 - self.s]);
+        let split = partition(flexible, &[self.s, 1.0 - self.s], &mut self.split);
         let (send_pool, recv_pool) = (split[0], split[1]);
         // Buffers are partitioned by the square root of the EWMA weights:
         // a pair's burst-drain stall scales inversely with its window
         // depth, so for bursts of similar size arriving with probability
         // w_m the expected stall Σ w_m / d_m is minimized by d_m ∝ √w_m.
-        let send_sqrt: Vec<f64> = self
-            .send_weights
-            .iter()
-            .map(|w| w.max(0.0).sqrt())
-            .collect();
-        let recv_sqrt: Vec<f64> = self
-            .recv_weights
-            .iter()
-            .map(|w| w.max(0.0).sqrt())
-            .collect();
-        let send_alloc = partition(send_pool, &send_sqrt);
-        let recv_alloc = partition(recv_pool, &recv_sqrt);
+        for (pool, weights, pads) in [
+            (send_pool, &self.send_weights, &mut self.send_pads),
+            (recv_pool, &self.recv_weights, &mut self.recv_pads),
+        ] {
+            self.sqrt_weights.clear();
+            self.sqrt_weights
+                .extend(weights.iter().map(|w| w.max(0.0).sqrt()));
+            let shares = partition(pool, &self.sqrt_weights, &mut self.split);
+            pads.extend(shares.iter().map(|a| a + floor));
+        }
+        self.allocation()
+    }
 
+    /// The allocation of the last closed interval.
+    fn allocation(&self) -> Allocation<'_> {
         Allocation {
-            send: self
-                .peers
-                .iter()
-                .copied()
-                .zip(send_alloc.into_iter().map(|a| a + floor))
-                .collect(),
-            recv: self
-                .peers
-                .iter()
-                .copied()
-                .zip(recv_alloc.into_iter().map(|a| a + floor))
-                .collect(),
+            peers: &self.peers,
+            send: &self.send_pads,
+            recv: &self.recv_pads,
         }
     }
 }
@@ -323,20 +366,32 @@ mod tests {
         vec![NodeId::CPU, NodeId::gpu(2), NodeId::gpu(3), NodeId::gpu(4)]
     }
 
+    /// `partition` into a fresh buffer.
+    fn split(total: u32, weights: &[f64]) -> Vec<u32> {
+        partition(total, weights, &mut Partition::default()).to_vec()
+    }
+
+    /// The pads `peer` holds in one direction of an allocation.
+    fn pads(mut direction: impl Iterator<Item = (NodeId, u32)>, peer: NodeId) -> u32 {
+        direction
+            .find_map(|(p, pads)| (p == peer).then_some(pads))
+            .expect("peer registered")
+    }
+
     #[test]
     fn partition_conserves_total() {
-        assert_eq!(partition(32, &[0.25; 4]), vec![8, 8, 8, 8]);
-        assert_eq!(partition(10, &[0.9, 0.1]), vec![9, 1]);
-        assert_eq!(partition(0, &[0.5, 0.5]), vec![0, 0]);
-        assert_eq!(partition(5, &[]), Vec::<u32>::new());
+        assert_eq!(split(32, &[0.25; 4]), vec![8, 8, 8, 8]);
+        assert_eq!(split(10, &[0.9, 0.1]), vec![9, 1]);
+        assert_eq!(split(0, &[0.5, 0.5]), vec![0, 0]);
+        assert_eq!(split(5, &[]), Vec::<u32>::new());
     }
 
     #[test]
     fn partition_handles_zero_weights() {
-        assert_eq!(partition(6, &[0.0, 0.0, 0.0]), vec![2, 2, 2]);
-        assert_eq!(partition(7, &[0.0, 0.0, 0.0]).iter().sum::<u32>(), 7);
+        assert_eq!(split(6, &[0.0, 0.0, 0.0]), vec![2, 2, 2]);
+        assert_eq!(split(7, &[0.0, 0.0, 0.0]).iter().sum::<u32>(), 7);
         // Negative weights are clamped.
-        assert_eq!(partition(4, &[-1.0, 1.0]), vec![0, 4]);
+        assert_eq!(split(4, &[-1.0, 1.0]), vec![0, 4]);
     }
 
     #[test]
@@ -367,12 +422,12 @@ mod tests {
         }
         let alloc = m.end_interval(1000);
         // S_1 = 0.1*0.5 + 0.9*1.0 = 0.95 -> send pool 950.
-        let send_pool: u32 = alloc.send.values().sum();
+        let send_pool: u32 = alloc.send().map(|(_, pads)| pads).sum();
         assert_eq!(send_pool, 950);
         // Buffers split by sqrt-weights: √0.625 / (√0.625 + 3·√0.125).
         let share = 0.625f64.sqrt() / (0.625f64.sqrt() + 3.0 * 0.125f64.sqrt());
         let expected = (950.0 * share).round() as u32;
-        let got = alloc.send[&NodeId::gpu(2)];
+        let got = pads(alloc.send(), NodeId::gpu(2));
         assert!(
             got.abs_diff(expected) <= 1,
             "got {got}, expected about {expected}"
@@ -404,36 +459,41 @@ mod tests {
         let mut m = EwmaAllocator::new(&p, 0.9, 0.5);
         let before = m.send_weight();
         let alloc = m.end_interval(32);
-        assert_eq!(m.send_weight(), before);
         // Uniform weights -> even split of each direction's pool.
-        assert_eq!(alloc.send[&NodeId::CPU], 4);
-        assert_eq!(alloc.recv[&NodeId::gpu(4)], 4);
+        assert_eq!(pads(alloc.send(), NodeId::CPU), 4);
+        assert_eq!(pads(alloc.recv(), NodeId::gpu(4)), 4);
+        assert_eq!(m.send_weight(), before);
     }
 
     #[test]
     fn skewed_traffic_shifts_allocation_over_time() {
         let p = peers();
         let mut m = EwmaAllocator::new(&p, 0.9, 0.5);
-        let mut last = None;
-        for _ in 0..10 {
+        for _ in 0..9 {
             for _ in 0..100 {
                 m.observe_send(NodeId::gpu(3));
             }
             for _ in 0..10 {
                 m.observe_recv(NodeId::CPU);
             }
-            last = Some(m.end_interval(32));
+            m.end_interval(32);
         }
-        let alloc = last.expect("ran intervals");
+        for _ in 0..100 {
+            m.observe_send(NodeId::gpu(3));
+        }
+        for _ in 0..10 {
+            m.observe_recv(NodeId::CPU);
+        }
+        let alloc = m.end_interval(32);
         // GPU3 dominates the send direction.
-        let g3 = alloc.send[&NodeId::gpu(3)];
-        for (&peer, &pads) in &alloc.send {
+        let g3 = pads(alloc.send(), NodeId::gpu(3));
+        for (peer, pads) in alloc.send() {
             if peer != NodeId::gpu(3) {
                 assert!(g3 > pads, "GPU3 ({g3}) should beat {peer} ({pads})");
             }
         }
         // Receive pool is small but non-zero and concentrated on the CPU.
-        let recv_pool: u32 = alloc.recv.values().sum();
+        let recv_pool: u32 = alloc.recv().map(|(_, pads)| pads).sum();
         assert!(recv_pool < 8, "recv pool {recv_pool}");
     }
 
@@ -459,21 +519,18 @@ mod tests {
     #[test]
     fn partition_sanitizes_non_finite_weights() {
         // NaN and ±inf act like zero weight; the finite entries share.
-        assert_eq!(partition(8, &[f64::NAN, 1.0, f64::INFINITY]), vec![0, 8, 0]);
-        assert_eq!(partition(6, &[f64::NEG_INFINITY, 1.0, 1.0]), vec![0, 3, 3]);
+        assert_eq!(split(8, &[f64::NAN, 1.0, f64::INFINITY]), vec![0, 8, 0]);
+        assert_eq!(split(6, &[f64::NEG_INFINITY, 1.0, 1.0]), vec![0, 3, 3]);
         // All non-finite -> even split, still conserved.
-        assert_eq!(
-            partition(7, &[f64::NAN, f64::INFINITY]).iter().sum::<u32>(),
-            7
-        );
+        assert_eq!(split(7, &[f64::NAN, f64::INFINITY]).iter().sum::<u32>(), 7);
     }
 
     #[test]
     fn empty_peers_trivial_allocation() {
         let mut m = EwmaAllocator::new(&[], 0.9, 0.5).with_floor(2);
         let alloc = m.end_interval(32);
-        assert!(alloc.send.is_empty());
-        assert!(alloc.recv.is_empty());
+        assert_eq!(alloc.send().count(), 0);
+        assert_eq!(alloc.recv().count(), 0);
         assert_eq!(alloc.total(), 0);
         assert_eq!(m.intervals(), 1);
     }
@@ -486,10 +543,8 @@ mod tests {
         }
         let alloc = m.end_interval(32);
         assert_eq!(alloc.total(), 32);
-        assert_eq!(
-            alloc.send[&NodeId::gpu(2)] + alloc.recv[&NodeId::gpu(2)],
-            32
-        );
+        let gpu2 = NodeId::gpu(2);
+        assert_eq!(pads(alloc.send(), gpu2) + pads(alloc.recv(), gpu2), 32);
     }
 
     #[test]
@@ -505,8 +560,24 @@ mod tests {
         let mut m = EwmaAllocator::new(&p, 0.9, 0.5).with_floor(8);
         let alloc = m.end_interval(8);
         assert_eq!(alloc.total(), 8);
-        assert!(alloc.send.values().all(|&a| a >= 1));
-        assert!(alloc.recv.values().all(|&a| a >= 1));
+        assert!(alloc.send().all(|(_, a)| a >= 1));
+        assert!(alloc.recv().all(|(_, a)| a >= 1));
+    }
+
+    #[test]
+    fn allocation_follows_registration_order() {
+        let p = [NodeId::gpu(3), NodeId::CPU, NodeId::gpu(2)];
+        let mut m = EwmaAllocator::new(&p, 0.9, 0.5);
+        for _ in 0..50 {
+            m.observe_send(NodeId::gpu(2));
+        }
+        let alloc = m.end_interval(60);
+        let order: Vec<NodeId> = alloc.send().map(|(peer, _)| peer).collect();
+        assert_eq!(order, p);
+        let hot = pads(alloc.send(), NodeId::gpu(2));
+        assert!(alloc
+            .send()
+            .all(|(peer, pads)| peer == NodeId::gpu(2) || pads < hot));
     }
 
     #[test]
@@ -530,7 +601,7 @@ mod tests {
             #[test]
             fn partition_sum_invariant(total in 0u32..500,
                                        weights in proptest::collection::vec(0.0f64..10.0, 1..10)) {
-                let alloc = partition(total, &weights);
+                let alloc = split(total, &weights);
                 prop_assert_eq!(alloc.iter().sum::<u32>(), total);
                 prop_assert_eq!(alloc.len(), weights.len());
             }
@@ -550,7 +621,7 @@ mod tests {
                         _ => w,
                     })
                     .collect();
-                let alloc = partition(total, &weights);
+                let alloc = split(total, &weights);
                 prop_assert_eq!(alloc.iter().sum::<u32>(), total);
                 prop_assert_eq!(alloc.len(), weights.len());
             }

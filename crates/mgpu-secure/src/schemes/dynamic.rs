@@ -90,14 +90,16 @@ impl DynamicScheme {
                 continue;
             }
             self.rate_at_last = Some(window);
+            // All send targets first, then all receive targets, each in
+            // peer order: the order AES-engine work is issued in.
             let alloc = self.monitor.end_interval(self.total_buffers);
-            for (&peer, &pads) in &alloc.send {
+            for (peer, pads) in alloc.send() {
                 self.send
                     .get_mut(peer)
                     .expect("peer window exists")
                     .set_target(pads, boundary, engine);
             }
-            for (&peer, &pads) in &alloc.recv {
+            for (peer, pads) in alloc.recv() {
                 self.recv
                     .get_mut(peer)
                     .expect("peer window exists")

@@ -10,11 +10,16 @@
 //! the per-batch work — the batch's MAC vector, created with its first
 //! block and handed to the caller in a `ClosedBatch` when it closes, and
 //! the trailer exchange — may allocate, at most once per batch.
+//!
+//! The Dynamic scheme's repartition step is covered too: after its first
+//! interval, `EwmaAllocator::end_interval` computes every allocation in
+//! buffers it already owns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mgpu_secure::channel::{Endpoint, BLOCK_SIZE};
+use mgpu_secure::ewma::EwmaAllocator;
 use mgpu_secure::key_exchange::KeyExchange;
 use mgpu_types::NodeId;
 
@@ -168,4 +173,25 @@ fn gcm_in_place_core_never_allocates() {
     }
     assert_eq!(alloc_count() - before, 0, "in-place AES-GCM allocated");
     assert_eq!(buf, [0x11; BLOCK_SIZE]);
+}
+
+#[test]
+fn ewma_repartition_is_allocation_free_after_first_interval() {
+    let peers: Vec<NodeId> = NodeId::gpu(1).peers(16).collect();
+    let mut mon = EwmaAllocator::new(&peers, 0.9, 0.5).with_floor(2);
+    mon.end_interval(128);
+    let before = alloc_count();
+    for round in 0..200usize {
+        for (i, &peer) in peers.iter().enumerate() {
+            for _ in 0..(round * (i + 1)) % 11 {
+                mon.observe_send(peer);
+            }
+            for _ in 0..(round + i) % 5 {
+                mon.observe_recv(peer);
+            }
+        }
+        let alloc = mon.end_interval(128);
+        assert_eq!(alloc.total(), 128, "round {round}");
+    }
+    assert_eq!(alloc_count() - before, 0, "EWMA repartition allocated");
 }

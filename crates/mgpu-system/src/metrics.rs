@@ -57,10 +57,12 @@ impl LatencyReport {
     }
 
     /// Sorts the sample vectors into their canonical ascending order.
+    /// Samples equal under `total_cmp` are bit-identical, so an unstable
+    /// sort produces the same vectors as a stable one.
     pub fn finish(&mut self) {
-        self.total.sort_by(f64::total_cmp);
-        self.first_byte.sort_by(f64::total_cmp);
-        self.service.sort_by(f64::total_cmp);
+        self.total.sort_unstable_by(f64::total_cmp);
+        self.first_byte.sort_unstable_by(f64::total_cmp);
+        self.service.sort_unstable_by(f64::total_cmp);
     }
 
     /// Merges another report into this one (sharded-coordinator fold);

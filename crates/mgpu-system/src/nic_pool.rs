@@ -10,18 +10,16 @@
 
 use crate::flow::{CreditGate, Reject};
 use crate::node::{PreparedBlock, SecureNic};
-use mgpu_sim::link::WireParts;
 use mgpu_types::{ByteSize, Cycle, DenseNodeMap, NodeId, SystemConfig};
 
 /// A prepared, MAC-carrying block parked until a replay-table entry
-/// frees: `(pending index, wire parts, message counter)`.
-pub type DeferredBlock = (usize, WireParts, u64);
+/// frees: its slot in the single-thread engine's in-flight block table.
+pub type DeferredBlock = u32;
 
 /// Per-node security state for one simulation run.
 ///
 /// Generic over the parked-block payload `D`: the single-thread engine
-/// parks `(pending index, wire parts, counter)` tuples ([`DeferredBlock`],
-/// the default), while the sharded engine parks its self-describing
+/// parks in-flight block slots ([`DeferredBlock`], the default), while the sharded engine parks its self-describing
 /// request tokens. Everything except [`NicPool::defer`] /
 /// [`NicPool::release_ack`] is payload-agnostic.
 #[derive(Debug)]
@@ -247,12 +245,12 @@ mod tests {
             Err(Reject::AwaitCredit),
             "window of 2 is full"
         );
-        p.defer(owner, 7, (7, WireParts::new(), 1));
-        p.defer(owner, 8, (8, WireParts::new(), 2));
+        p.defer(owner, 7, 70);
+        p.defer(owner, 8, 80);
         let first = p.release_ack(owner).expect("oldest parked unparks");
-        assert_eq!(first.0, 7);
+        assert_eq!(first, 70);
         let second = p.release_ack(owner).expect("next parked unparks");
-        assert_eq!(second.0, 8);
+        assert_eq!(second, 80);
         assert!(p.release_ack(owner).is_none());
         assert_eq!(p.ack_grants(owner), 2);
     }
@@ -267,10 +265,10 @@ mod tests {
         let owner = NodeId::gpu(1);
         assert!(p.admit_ack(owner).is_ok());
         // Parked out of request order: fixed priority unparks index 3 first.
-        p.defer(owner, 9, (9, WireParts::new(), 1));
-        p.defer(owner, 3, (3, WireParts::new(), 2));
-        assert_eq!(p.release_ack(owner).expect("unparks").0, 3);
-        assert_eq!(p.release_ack(owner).expect("unparks").0, 9);
+        p.defer(owner, 9, 90);
+        p.defer(owner, 3, 30);
+        assert_eq!(p.release_ack(owner).expect("unparks"), 30);
+        assert_eq!(p.release_ack(owner).expect("unparks"), 90);
     }
 
     #[test]

@@ -96,7 +96,63 @@ struct Pending {
     first_byte: Option<Cycle>,
 }
 
-/// Discrete events of the request path.
+/// One protected (or plain) data block between its preparation at the
+/// owner and its arrival at the requester: everything the block events
+/// carry, kept out of the event queue so queue entries stay small.
+struct InFlight {
+    /// Index of the originating request in `pending`.
+    idx: usize,
+    parts: WireParts,
+    counter: u64,
+    /// Whether the block carries a MsgMAC and so holds an ACK-window
+    /// credit until its ACK returns.
+    acks: bool,
+    /// The block's position on the fabric once it left the owner.
+    transit: Option<Transit>,
+}
+
+/// The in-flight blocks of one run, addressed by `u32` slot. Freed slots
+/// are reused, so the table only grows to the peak number of blocks in
+/// flight at once.
+#[derive(Default)]
+struct BlockTable {
+    slots: Vec<InFlight>,
+    free: Vec<u32>,
+}
+
+impl BlockTable {
+    fn insert(&mut self, block: InFlight) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = block;
+            slot
+        } else {
+            let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 blocks in flight");
+            self.slots.push(block);
+            slot
+        }
+    }
+
+    fn remove(&mut self, slot: u32) {
+        self.free.push(slot);
+    }
+}
+
+impl std::ops::Index<u32> for BlockTable {
+    type Output = InFlight;
+
+    fn index(&self, slot: u32) -> &InFlight {
+        &self.slots[slot as usize]
+    }
+}
+
+impl std::ops::IndexMut<u32> for BlockTable {
+    fn index_mut(&mut self, slot: u32) -> &mut InFlight {
+        &mut self.slots[slot as usize]
+    }
+}
+
+/// Discrete events of the request path. Block events name a slot of the
+/// run's [`BlockTable`], keeping every event at most 16 bytes.
 enum Ev {
     /// Attempt to issue the requester's next queued request.
     TryIssue(NodeId),
@@ -105,28 +161,14 @@ enum Ev {
     /// HBM produced the data at the owner.
     DataReady(usize),
     /// An encrypted block is ready for the owner's egress port.
-    BlockEgress {
-        idx: usize,
-        parts: WireParts,
-        counter: u64,
-        acks: bool,
-    },
+    BlockEgress(u32),
     /// The block's bytes reached the ingress of the next waypoint on
     /// their route (on the fully-connected fabric, the destination).
-    BlockIngress {
-        idx: usize,
-        transit: Transit,
-        counter: u64,
-        acks: bool,
-    },
+    BlockIngress(u32),
     /// The block cleared the destination ingress; run receive-side crypto.
-    BlockRecv {
-        idx: usize,
-        counter: u64,
-        acks: bool,
-    },
+    BlockRecv(u32),
     /// The block's data became usable at the requester.
-    BlockDone { idx: usize, acks: bool },
+    BlockDone(u32),
     /// An ACK reached the original sender: free a replay-table entry.
     AckArrive(NodeId),
     /// Check a node's batcher for timeout flushes.
@@ -144,6 +186,8 @@ enum Ev {
     Sample,
 }
 
+const _: () = assert!(std::mem::size_of::<Ev>() <= 16);
+
 impl Ev {
     /// Event-type label for the observability scope counters.
     fn name(&self) -> &'static str {
@@ -151,10 +195,10 @@ impl Ev {
             Ev::TryIssue(_) => "TryIssue",
             Ev::ReqArrive(_) => "ReqArrive",
             Ev::DataReady(_) => "DataReady",
-            Ev::BlockEgress { .. } => "BlockEgress",
-            Ev::BlockIngress { .. } => "BlockIngress",
-            Ev::BlockRecv { .. } => "BlockRecv",
-            Ev::BlockDone { .. } => "BlockDone",
+            Ev::BlockEgress(_) => "BlockEgress",
+            Ev::BlockIngress(_) => "BlockIngress",
+            Ev::BlockRecv(_) => "BlockRecv",
+            Ev::BlockDone(_) => "BlockDone",
             Ev::AckArrive(_) => "AckArrive",
             Ev::FlushCheck(_) => "FlushCheck",
             Ev::TrailerAck { .. } => "TrailerAck",
@@ -370,6 +414,7 @@ impl Simulation {
         }
 
         let mut pending: Vec<Pending> = Vec::new();
+        let mut blocks = BlockTable::default();
         let mut completion = Cycle::ZERO;
         let mut sum_latency = Duration::ZERO;
         let mut latency = crate::metrics::LatencyReport::default();
@@ -438,51 +483,44 @@ impl Simulation {
                 Ev::DataReady(idx) => {
                     let owner = pending[idx].owner;
                     let requester = pending[idx].requester;
-                    let blocks = pending[idx].blocks_left;
+                    let count = pending[idx].blocks_left;
                     if self.secure() {
-                        for _ in 0..blocks {
+                        for _ in 0..count {
                             let prep = pool.prepare_send(owner, now, requester);
                             if prep.acks && cfg.security.batching.enabled {
                                 if let Some(col) = collector.as_mut() {
                                     col.record_batch_close(now, owner, true);
                                 }
                             }
-                            events.schedule(
-                                prep.ready,
-                                Ev::BlockEgress {
-                                    idx,
-                                    parts: prep.parts,
-                                    counter: prep.counter,
-                                    acks: prep.acks,
-                                },
-                            );
+                            let slot = blocks.insert(InFlight {
+                                idx,
+                                parts: prep.parts,
+                                counter: prep.counter,
+                                acks: prep.acks,
+                                transit: None,
+                            });
+                            events.schedule(prep.ready, Ev::BlockEgress(slot));
                         }
                         if let Some(deadline) = pool.next_flush_deadline(owner) {
                             events.schedule(deadline.max(now), Ev::FlushCheck(owner));
                         }
                     } else {
-                        for _ in 0..blocks {
-                            events.schedule(
-                                now,
-                                Ev::BlockEgress {
-                                    idx,
-                                    parts: WireParts::of(
-                                        wire.header + wire.block,
-                                        TrafficClass::Data,
-                                    ),
-                                    counter: 0,
-                                    acks: false,
-                                },
-                            );
+                        for _ in 0..count {
+                            let slot = blocks.insert(InFlight {
+                                idx,
+                                parts: WireParts::of(wire.header + wire.block, TrafficClass::Data),
+                                counter: 0,
+                                acks: false,
+                                transit: None,
+                            });
+                            events.schedule(now, Ev::BlockEgress(slot));
                         }
                     }
                 }
-                Ev::BlockEgress {
-                    idx,
-                    parts,
-                    counter,
-                    acks,
-                } => {
+                Ev::BlockEgress(slot) => {
+                    let InFlight {
+                        idx, parts, acks, ..
+                    } = blocks[slot];
                     let owner = pending[idx].owner;
                     let pair = PairId::new(owner, pending[idx].requester);
                     // Egress admission first: a credit reject reschedules
@@ -490,15 +528,7 @@ impl Simulation {
                     // irreversible side effect (the ACK window reservation
                     // below), so a retry never double-reserves.
                     if let Err(busy) = fabric.egress_ready(pair, now) {
-                        events.schedule(
-                            busy.retry_at,
-                            Ev::BlockEgress {
-                                idx,
-                                parts,
-                                counter,
-                                acks,
-                            },
-                        );
+                        events.schedule(busy.retry_at, Ev::BlockEgress(slot));
                         continue;
                     }
                     if acks {
@@ -507,58 +537,36 @@ impl Simulation {
                         // until its ACK returns. A full table defers the
                         // release.
                         if pool.admit_ack(owner).is_err() {
-                            pool.defer(owner, idx as u64, (idx, parts, counter));
+                            pool.defer(owner, idx as u64, slot);
                             continue;
                         }
                     }
                     let (at, transit) = fabric.begin(pair, now, parts);
-                    events.schedule(
-                        at,
-                        Ev::BlockIngress {
-                            idx,
-                            transit,
-                            counter,
-                            acks,
-                        },
-                    );
+                    blocks[slot].transit = Some(transit);
+                    events.schedule(at, Ev::BlockIngress(slot));
                 }
-                Ev::BlockIngress {
-                    idx,
-                    transit,
-                    counter,
-                    acks,
-                } => match fabric.advance(transit, now) {
-                    HopOutcome::Forwarded { at, transit } => {
-                        events.schedule(
-                            at,
-                            Ev::BlockIngress {
-                                idx,
-                                transit,
-                                counter,
-                                acks,
-                            },
-                        );
+                Ev::BlockIngress(slot) => {
+                    let transit = blocks[slot].transit.take().expect("block left its owner");
+                    match fabric.advance(transit, now) {
+                        HopOutcome::Forwarded { at, transit } => {
+                            blocks[slot].transit = Some(transit);
+                            events.schedule(at, Ev::BlockIngress(slot));
+                        }
+                        HopOutcome::Delivered { at } => {
+                            events.schedule(at, Ev::BlockRecv(slot));
+                        }
+                        HopOutcome::Blocked { retry_at, transit } => {
+                            // Typed credit backpressure from the onward hop:
+                            // one retry at the exact credit-free cycle, no
+                            // re-polling. The token holds its ingress booking.
+                            blocks[slot].transit = Some(transit);
+                            events.schedule(retry_at, Ev::BlockIngress(slot));
+                        }
                     }
-                    HopOutcome::Delivered { at } => {
-                        events.schedule(at, Ev::BlockRecv { idx, counter, acks });
-                    }
-                    HopOutcome::Blocked { retry_at, transit } => {
-                        // Typed credit backpressure from the onward hop:
-                        // one retry at the exact credit-free cycle, no
-                        // re-polling. The token holds its ingress booking.
-                        events.schedule(
-                            retry_at,
-                            Ev::BlockIngress {
-                                idx,
-                                transit,
-                                counter,
-                                acks,
-                            },
-                        );
-                    }
-                },
-                Ev::BlockRecv { idx, counter, acks } => {
+                }
+                Ev::BlockRecv(slot) => {
                     let usable = if self.secure() {
+                        let InFlight { idx, counter, .. } = blocks[slot];
                         let requester = pending[idx].requester;
                         let owner = pending[idx].owner;
                         if let Some(h) = harness.as_mut() {
@@ -571,9 +579,11 @@ impl Simulation {
                     } else {
                         now
                     };
-                    events.schedule(usable, Ev::BlockDone { idx, acks });
+                    events.schedule(usable, Ev::BlockDone(slot));
                 }
-                Ev::BlockDone { idx, acks } => {
+                Ev::BlockDone(slot) => {
+                    let InFlight { idx, acks, .. } = blocks[slot];
+                    blocks.remove(slot);
                     blocks_done += 1;
                     if pending[idx].first_byte.is_none() {
                         pending[idx].first_byte = Some(now);
@@ -616,16 +626,8 @@ impl Simulation {
                     }
                 }
                 Ev::AckArrive(owner) => {
-                    if let Some((idx, parts, counter)) = pool.release_ack(owner) {
-                        events.schedule(
-                            now,
-                            Ev::BlockEgress {
-                                idx,
-                                parts,
-                                counter,
-                                acks: true,
-                            },
-                        );
+                    if let Some(slot) = pool.release_ack(owner) {
+                        events.schedule(now, Ev::BlockEgress(slot));
                     }
                 }
                 Ev::FlushCheck(owner) => {

@@ -9,10 +9,15 @@
 //! unbatched stream must not allocate at all; the batched stream may only
 //! allocate per batch — the MAC vector each batch creates with its first
 //! block and hands to its trailer — never per block.
+//!
+//! The engine's event queue is held to the same standard: once its slab,
+//! free list and overflow heap have grown to the working population, a
+//! queue whose clock keeps cycling through the wheel allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use mgpu_sim::events::{EventQueue, WHEEL_SPAN};
 use mgpu_system::WireHarness;
 use mgpu_types::{AdversaryConfig, Cycle, NodeId, SystemConfig};
 
@@ -110,4 +115,39 @@ fn clean_batched_stream_allocates_per_batch_not_per_block() {
     let _ = h.finish(Cycle::new(u64::MAX / 2));
     let log = h.into_log();
     assert!(log.is_clean(), "{log:?}");
+}
+
+#[test]
+fn warm_event_queue_is_allocation_free_across_wheel_spans() {
+    // Same-cycle follow-ups, link and DRAM latencies, flush timeouts and
+    // gaps past the wheel span (overflow heap, then migration).
+    const GAPS: [u64; 8] = [0, 2, 7, 100, 161, 200, 1000, WHEEL_SPAN + 300];
+    let mut q: EventQueue<(u64, u64)> = EventQueue::new();
+    for i in 0..512u64 {
+        q.schedule(Cycle::new(GAPS[(i % 8) as usize]), (i, 0));
+    }
+    // One pop, one schedule: the population stays constant.
+    let churn = |q: &mut EventQueue<(u64, u64)>, spans: u64| {
+        let until = q.now().as_u64() + spans * WHEEL_SPAN;
+        let mut ops = 0u64;
+        while q.now().as_u64() < until {
+            let (now, (i, n)) = q.pop().expect("population never drains");
+            q.schedule(
+                Cycle::new(now.as_u64() + GAPS[((i + n) % 8) as usize]),
+                (i, n + 1),
+            );
+            ops += 1;
+        }
+        ops
+    };
+    churn(&mut q, 3);
+    let before = alloc_count();
+    let ops = churn(&mut q, 4);
+    let allocations = alloc_count() - before;
+    assert_eq!(
+        allocations, 0,
+        "warm event queue allocated over {ops} operations"
+    );
+    assert!(ops > 5_000, "only {ops} operations");
+    assert_eq!(q.len(), 512);
 }
