@@ -11,8 +11,11 @@
 //!   the life of one short simulation cell's queue: built fresh, about
 //!   20k events over about 17k cycles with a 16-byte payload, drained.
 //! * `engine` — representative simulation cells (a fig25-style 4-GPU
-//!   batching run, a topology-scaling-style 8-GPU ring run and a 16-GPU
-//!   Dynamic cell from the paper-scale scheme matrix). Each cell
+//!   batching run, a topology-scaling-style 8-GPU ring run, a 16-GPU
+//!   Dynamic cell from the paper-scale scheme matrix, and three scale-out
+//!   cells: 64 GPUs on a radix-4 switch under Batching, 128 GPUs on the
+//!   same switch under Dynamic, and 128 fully connected GPUs under
+//!   Private, which track how per-event cost grows with GPU count). Each cell
 //!   reports wall-clock per run through criterion and prints an
 //!   `engine-events-per-sec` line derived from the run's
 //!   `events_processed` count; CI's bench-smoke gate parses that line and
@@ -100,18 +103,38 @@ fn bench_event_queue(c: &mut Criterion) {
     group.finish();
 }
 
+/// A `gpus`-GPU system on the paper's 4-GPU link parameters.
+fn scaled(gpus: u16, topology: TopologyKind) -> SystemConfig {
+    let mut base = SystemConfig::paper_4gpu();
+    base.gpu_count = gpus;
+    base.with_topology(topology)
+}
+
 /// The cells the throughput gate tracks: the same shapes fig25, the
 /// topology-scaling sweep and the paper-scale scheme matrix lean on
 /// hardest.
 fn cells() -> Vec<(&'static str, SystemConfig)> {
     let base4 = SystemConfig::paper_4gpu();
     let base8 = SystemConfig::paper_8gpu().with_topology(TopologyKind::Ring);
+    let switch = TopologyKind::Switch { radix: 4 };
     vec![
         ("4gpu-batching", configs::batching(&base4, 4)),
         ("8gpu-ring-batching", configs::batching(&base8, 4)),
         (
             "16gpu-dynamic",
             configs::dynamic(&SystemConfig::paper_16gpu(), 4),
+        ),
+        (
+            "64gpu-switch-batching",
+            configs::batching(&scaled(64, switch), 4),
+        ),
+        (
+            "128gpu-switch-dynamic",
+            configs::dynamic(&scaled(128, switch), 4),
+        ),
+        (
+            "128gpu-fc-private",
+            configs::private(&scaled(128, TopologyKind::FullyConnected), 4),
         ),
     ]
 }

@@ -23,8 +23,7 @@
 //! 1. `MGPU_CRYPTO_BACKEND=soft` forces the software backend (CI uses this
 //!    to A/B the two paths on one host). `auto` — or the variable unset —
 //!    picks hardware when the CPU supports it. Anything else warns once to
-//!    stderr and falls back to `auto`, matching the `MGPU_SHARDS`
-//!    convention.
+//!    stderr and falls back to `auto`.
 //! 2. On `x86_64`, hardware is used when the CPU advertises `aes`,
 //!    `pclmulqdq` and `ssse3` (the byte-shuffle the GHASH path needs). On
 //!    every other architecture the software backend is the only option.

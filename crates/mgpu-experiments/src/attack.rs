@@ -54,7 +54,7 @@ fn campaign_log(cfg: &SystemConfig, rate: u32, mode: Mode) -> SecurityEventLog {
     let armed = with_adversary(cfg, rate);
     let mut log = SecurityEventLog::new();
     for &bench in benches(mode) {
-        log.merge(&common::run(&armed, bench, mode).security);
+        log.merge(&common::run(&armed, bench, mode.requests()).security);
     }
     log
 }
@@ -163,7 +163,7 @@ mod tests {
         // A hot enough rate on the batched scheme hits all seven kinds,
         // including the trailer-only ones.
         let cfg = with_adversary(&configs::batching(&SystemConfig::paper_4gpu(), 4), 300);
-        let report = common::run(&cfg, Benchmark::MatrixTranspose, Mode::Quick);
+        let report = common::run(&cfg, Benchmark::MatrixTranspose, Mode::Quick.requests());
         for kind in FaultKind::ALL {
             assert!(
                 report.security.injected_of(kind) > 0,

@@ -10,27 +10,14 @@
 //! so the cache removes most of `repro all`'s work; the fan-out uses
 //! whatever cores remain. Both layers are observable and defeatable:
 //!
-//! - `MGPU_WORKERS=<n>` caps the worker threads (default: all cores).
+//! - `MGPU_WORKERS=<n>` caps the worker threads (default: all cores). An
+//!   invalid value (a non-integer, or zero) warns once to stderr and falls
+//!   back to the default.
 //! - `MGPU_CELL_CACHE=0` disables memoization (honest single-run timing).
 //!
 //! Results are bit-identical whichever path computes them — the cache
 //! stores exactly what a direct run returns, and workers never share
 //! mutable simulation state (asserted in tests).
-//!
-//! # Thread-count environment variables
-//!
-//! - `MGPU_WORKERS=<n>` caps the cell-level worker threads ([`workers`]).
-//! - `MGPU_SHARDS=<n>` sets the shard (thread) count *inside each
-//!   simulation* ([`shards`]; see `mgpu_system::sharded`). Results are
-//!   bit-identical for any value — sharding only changes wall-clock time.
-//!
-//! The two multiply: total thread demand is `workers × shards`. When
-//! neither is explicit the default stays at one thread per core (cell
-//! workers shrink to `cores / shards`). Explicit values are honored, but
-//! an oversubscribed product warns once to stderr. Invalid values (a
-//! non-integer, or zero) also warn once and fall back to the default —
-//! they used to be silently ignored, which hid typos like
-//! `MGPU_WORKERS=all`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -135,74 +122,13 @@ fn env_threads(var: &str, warned: &AtomicBool) -> Option<usize> {
     parsed
 }
 
-/// Resolves the cell-worker count against the core budget shared with
-/// per-simulation shards: an explicit request is honored as-is (the
-/// caller may warn), a defaulted one shrinks to `cores / shards` so the
-/// product stays within the machine.
-fn budget_workers(requested: Option<usize>, shards: usize, cores: usize) -> usize {
-    match requested {
-        Some(n) => n,
-        None => (cores / shards.max(1)).max(1),
-    }
-}
-
-/// Clamps an explicit `MGPU_SHARDS` request to what the host can run:
-/// shards are worker threads inside one simulation, so anything beyond
-/// the core count gains nothing, and values beyond `u16::MAX` used to
-/// wrap to 65535 silently. The core count itself is capped at `u16::MAX`
-/// so the result always fits the engine's shard type.
-fn clamp_shards(requested: usize, cores: usize) -> u16 {
-    let cap = cores.clamp(1, usize::from(u16::MAX));
-    u16::try_from(requested.min(cap)).expect("cap fits u16")
-}
-
-/// Shard (thread) count used *inside each simulation*: `MGPU_SHARDS` if
-/// set (validated like `MGPU_WORKERS`, and clamped to the host's core
-/// count with a one-time warning), otherwise 1. Resolved once per
-/// process and installed as the engine-wide default
-/// (`mgpu_system::set_default_shards`), so every cell — cached or not —
-/// runs with the same shard count.
-#[must_use]
-pub fn shards() -> u16 {
-    static RESOLVED: OnceLock<u16> = OnceLock::new();
-    *RESOLVED.get_or_init(|| {
-        static WARNED: AtomicBool = AtomicBool::new(false);
-        let s = env_threads("MGPU_SHARDS", &WARNED).map_or(1, |n| {
-            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-            let clamped = clamp_shards(n, cores);
-            if usize::from(clamped) != n && !WARNED.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "warning: clamping MGPU_SHARDS={n} to {clamped} (host has {cores} core(s))"
-                );
-            }
-            clamped
-        });
-        mgpu_system::set_default_shards(s);
-        s
-    })
-}
-
 /// Worker threads used by [`run_many`]: `MGPU_WORKERS` if set, otherwise
-/// the machine's available parallelism divided by [`shards`] (each cell
-/// may itself run that many threads). An explicit `MGPU_WORKERS` is
-/// honored even when `workers × shards` oversubscribes the machine, but
-/// warns once.
+/// the machine's available parallelism.
 #[must_use]
 pub fn workers() -> usize {
     static WARNED: AtomicBool = AtomicBool::new(false);
-    static OVERSUB_WARNED: AtomicBool = AtomicBool::new(false);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let shards = usize::from(shards());
-    let requested = env_threads("MGPU_WORKERS", &WARNED);
-    let workers = budget_workers(requested, shards, cores);
-    if workers * shards > cores && !OVERSUB_WARNED.swap(true, Ordering::Relaxed) {
-        eprintln!(
-            "warning: MGPU_WORKERS ({workers}) x MGPU_SHARDS ({shards}) = {} threads \
-             oversubscribes {cores} core(s)",
-            workers * shards
-        );
-    }
-    workers
+    env_threads("MGPU_WORKERS", &WARNED)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Empties the simulation-cell cache (test isolation and honest timing).
@@ -211,15 +137,13 @@ pub fn clear_cell_cache() {
 }
 
 fn simulate(cfg: &SystemConfig, bench: Benchmark, requests: usize) -> RunReport {
-    // First use installs the MGPU_SHARDS default into the engine.
-    let _ = shards();
     Simulation::new(cfg.clone(), bench, SEED).run_for_requests(requests)
 }
 
-/// Runs one configuration on one benchmark, consulting the cell cache.
+/// Runs one configuration on one benchmark with `requests` remote
+/// requests per GPU, consulting the cell cache.
 #[must_use]
-pub fn run(cfg: &SystemConfig, bench: Benchmark, mode: Mode) -> RunReport {
-    let requests = mode.requests();
+pub fn run(cfg: &SystemConfig, bench: Benchmark, requests: usize) -> RunReport {
     if !cache_enabled() {
         CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
         return simulate(cfg, bench, requests);
@@ -238,20 +162,21 @@ pub fn run(cfg: &SystemConfig, bench: Benchmark, mode: Mode) -> RunReport {
     report
 }
 
-/// Runs every cell, fanning uncached work across [`workers`] threads, and
-/// returns the reports in input order.
+/// Runs every cell with `requests` remote requests per GPU, fanning
+/// uncached work across [`workers`] threads, and returns the reports in
+/// input order.
 ///
 /// Each cell is an independent deterministic simulation, so the output is
 /// bit-identical to running the cells sequentially — parallelism only
 /// changes wall-clock time.
 #[must_use]
-pub fn run_many(cells: &[Cell], mode: Mode) -> Vec<RunReport> {
+pub fn run_many(cells: &[Cell], requests: usize) -> Vec<RunReport> {
     let n = cells.len();
     let worker_count = workers().min(n);
     if worker_count <= 1 {
         return cells
             .iter()
-            .map(|(cfg, bench)| run(cfg, *bench, mode))
+            .map(|(cfg, bench)| run(cfg, *bench, requests))
             .collect();
     }
     let next = AtomicUsize::new(0);
@@ -264,7 +189,7 @@ pub fn run_many(cells: &[Cell], mode: Mode) -> Vec<RunReport> {
                     break;
                 }
                 let (cfg, bench) = &cells[i];
-                let report = run(cfg, *bench, mode);
+                let report = run(cfg, *bench, requests);
                 *slots[i].lock().expect("result slot poisoned") = Some(report);
             });
         }
@@ -283,7 +208,7 @@ pub fn run_many(cells: &[Cell], mode: Mode) -> Vec<RunReport> {
 /// same cells are lookups. A no-op when the cache is disabled.
 pub fn prefetch(cells: &[Cell], mode: Mode) {
     if cache_enabled() && !cells.is_empty() {
-        let _ = run_many(cells, mode);
+        let _ = run_many(cells, mode.requests());
     }
 }
 
@@ -299,7 +224,7 @@ pub fn baseline_of(cfg: &SystemConfig) -> SystemConfig {
 /// Runs the unsecure twin of `cfg` on `bench`.
 #[must_use]
 pub fn run_baseline(cfg: &SystemConfig, bench: Benchmark, mode: Mode) -> RunReport {
-    run(&baseline_of(cfg), bench, mode)
+    run(&baseline_of(cfg), bench, mode.requests())
 }
 
 /// Builds the prefetch cell list for a normalized-table experiment: per
@@ -408,7 +333,7 @@ mod tests {
             .iter()
             .map(|(cfg, bench)| fingerprint(&simulate(cfg, *bench, Mode::Bench.requests())))
             .collect();
-        let parallel: Vec<String> = run_many(&cells, Mode::Bench)
+        let parallel: Vec<String> = run_many(&cells, Mode::Bench.requests())
             .iter()
             .map(fingerprint)
             .collect();
@@ -418,8 +343,8 @@ mod tests {
     #[test]
     fn cached_rerun_matches_first_run() {
         let cfg = configs::cached(&SystemConfig::paper_4gpu(), 4);
-        let first = run(&cfg, Benchmark::Spmv, Mode::Bench);
-        let second = run(&cfg, Benchmark::Spmv, Mode::Bench);
+        let first = run(&cfg, Benchmark::Spmv, Mode::Bench.requests());
+        let second = run(&cfg, Benchmark::Spmv, Mode::Bench.requests());
         assert_eq!(fingerprint(&first), fingerprint(&second));
         // And both equal an uncached simulation.
         assert_eq!(
@@ -467,38 +392,14 @@ mod tests {
     }
 
     #[test]
-    fn oversized_shard_requests_clamp_to_host_cores() {
-        // Used to wrap silently to u16::MAX; now clamps to the cores the
-        // host actually has.
-        assert_eq!(clamp_shards(70_000, 4), 4);
-        assert_eq!(clamp_shards(8, 4), 4);
-        // Within budget: honored as-is.
-        assert_eq!(clamp_shards(2, 8), 2);
-        assert_eq!(clamp_shards(1, 1), 1);
-        // A pathological core count still fits the engine's u16 shards.
-        assert_eq!(clamp_shards(1_000_000, 1_000_000), u16::MAX);
-    }
-
-    #[test]
-    fn defaulted_workers_share_the_core_budget_with_shards() {
-        // No explicit request: the worker count shrinks so that
-        // workers x shards stays within the core budget.
-        assert_eq!(budget_workers(None, 4, 16), 4);
-        assert_eq!(budget_workers(None, 1, 16), 16);
-        assert_eq!(budget_workers(None, 32, 16), 1, "never below one worker");
-        // Explicit requests are honored (the caller warns instead).
-        assert_eq!(budget_workers(Some(12), 4, 16), 12);
-    }
-
-    #[test]
     fn cache_counters_advance_on_hit_and_miss() {
         let cfg = configs::dynamic(&SystemConfig::paper_4gpu(), 4);
         // A distinctive benchmark keeps this cell out of other tests' way.
         let (h0, m0) = cache_counters();
-        let _ = run(&cfg, Benchmark::Mvt, Mode::Bench);
+        let _ = run(&cfg, Benchmark::Mvt, Mode::Bench.requests());
         let (h1, m1) = cache_counters();
         assert!(h1 + m1 > h0 + m0, "first run must count a hit or a miss");
-        let _ = run(&cfg, Benchmark::Mvt, Mode::Bench);
+        let _ = run(&cfg, Benchmark::Mvt, Mode::Bench.requests());
         let (h2, _) = cache_counters();
         if cache_enabled() {
             assert!(h2 > h1, "second identical run must be a cache hit");

@@ -37,7 +37,7 @@ fn normalized_table(
         let baseline = common::run_baseline(base, bench, mode);
         let mut row = vec![bench.abbrev().to_string()];
         for (i, (_, cfg)) in cfgs.iter().enumerate() {
-            let r = common::run(cfg, bench, mode);
+            let r = common::run(cfg, bench, mode.requests());
             let n = r.normalized_time(&baseline).unwrap_or(1.0);
             columns[i].push(n);
             row.push(ratio(n));
@@ -79,7 +79,7 @@ pub fn fig23(mode: Mode) -> Vec<Table> {
         let baseline = common::run_baseline(&base, bench, mode);
         let mut row = vec![bench.abbrev().to_string()];
         for (i, (_, cfg)) in cfgs.iter().enumerate() {
-            let r = common::run(cfg, bench, mode);
+            let r = common::run(cfg, bench, mode.requests());
             let tr = r.traffic_ratio(&baseline).unwrap_or(1.0);
             columns[i].push(tr);
             row.push(ratio(tr));
@@ -137,7 +137,7 @@ pub fn fig26(mode: Mode) -> Vec<Table> {
             let mut values = Vec::new();
             for &bench in mode.suite() {
                 let baseline = common::run_baseline(cfg, bench, mode);
-                let r = common::run(cfg, bench, mode);
+                let r = common::run(cfg, bench, mode.requests());
                 values.push(r.normalized_time(&baseline).unwrap_or(1.0));
             }
             row.push(ratio(common::geomean(&values)));
@@ -255,7 +255,7 @@ pub fn ablation_batch_size(mode: Mode) -> Vec<Table> {
         let mut count = 0.0;
         for &bench in mode.suite() {
             let baseline = common::run_baseline(cfg, bench, mode);
-            let r = common::run(cfg, bench, mode);
+            let r = common::run(cfg, bench, mode.requests());
             times.push(r.normalized_time(&baseline).unwrap_or(1.0));
             traffics.push(r.traffic_ratio(&baseline).unwrap_or(1.0));
             occupancy += r.mean_batch_occupancy;
@@ -300,7 +300,7 @@ pub fn ablation_interval(mode: Mode) -> Vec<Table> {
         for &bench in mode.suite() {
             let baseline = common::run_baseline(cfg, bench, mode);
             times.push(
-                common::run(cfg, bench, mode)
+                common::run(cfg, bench, mode.requests())
                     .normalized_time(&baseline)
                     .unwrap_or(1.0),
             );

@@ -32,7 +32,7 @@
 //! ([`SAMPLE_INTERVAL`]), so every observation boundary lands on a
 //! whole number of shaping periods — the precondition under which the
 //! quota-based chaff makes per-port control observations bit-identical
-//! across schemes (see `DESIGN.md` §14).
+//! across schemes (see `DESIGN.md` §13).
 //!
 //! When `MGPU_LEAKAGE_CSV` names a path, the frontier table is also
 //! written there as CSV (the CI `leakage_smoke` step consumes it).

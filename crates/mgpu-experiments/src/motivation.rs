@@ -55,7 +55,7 @@ pub fn fig08(mode: Mode) -> Vec<Table> {
         let baseline = common::run_baseline(&base, bench, mode);
         let mut row = vec![bench.abbrev().to_string()];
         for (i, &m) in mults.iter().enumerate() {
-            let r = common::run(&configs::private(&base, m), bench, mode);
+            let r = common::run(&configs::private(&base, m), bench, mode.requests());
             let n = r.normalized_time(&baseline).unwrap_or(1.0);
             columns[i].push(n);
             row.push(ratio(n));
@@ -97,7 +97,7 @@ fn scheme_comparison_table(title: &str, cfgs: &[(String, SystemConfig)], mode: M
         let baseline = common::run_baseline(&cfgs[0].1, bench, mode);
         let mut row = vec![bench.abbrev().to_string()];
         for (i, (_, cfg)) in cfgs.iter().enumerate() {
-            let r = common::run(cfg, bench, mode);
+            let r = common::run(cfg, bench, mode.requests());
             let n = r.normalized_time(&baseline).unwrap_or(1.0);
             columns[i].push(n);
             row.push(ratio(n));
@@ -155,7 +155,7 @@ pub(crate) fn otp_distribution_table(
     for (label, cfg) in cfgs {
         let mut otp = mgpu_secure::OtpStats::default();
         for &bench in mode.suite() {
-            otp.merge(&common::run(cfg, bench, mode).otp);
+            otp.merge(&common::run(cfg, bench, mode.requests()).otp);
         }
         t.add_row(vec![
             label.clone(),
@@ -208,7 +208,7 @@ pub fn fig12(mode: Mode) -> Vec<Table> {
     let mut ratios = Vec::new();
     for &bench in mode.suite() {
         let baseline = common::run_baseline(&cfg, bench, mode);
-        let r = common::run(&cfg, bench, mode);
+        let r = common::run(&cfg, bench, mode.requests());
         let tr = r.traffic_ratio(&baseline).unwrap_or(1.0);
         ratios.push(tr);
         t.add_row(vec![

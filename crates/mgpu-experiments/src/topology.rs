@@ -10,9 +10,9 @@
 //! scheme matters *more* on routed fabrics: the fewer metadata bytes it
 //! puts on the wire, the less there is to amplify.
 
-use crate::common::{self, Mode};
+use crate::common::{self, Cell, Mode};
 use crate::report::{ratio, Table};
-use mgpu_system::runner::{compare_schemes, compare_schemes_with, configs, SchemeResult};
+use mgpu_system::runner::{compare_schemes, configs, SchemeResult};
 use mgpu_types::{SystemConfig, TopologyKind};
 use mgpu_workloads::Benchmark;
 
@@ -28,11 +28,11 @@ const SHAPES: [TopologyKind; 3] = [
 /// points, Figs. 24–25).
 const GPU_COUNTS: [u16; 3] = [4, 8, 16];
 
-/// Scale-out sizes past the paper's sweep. These run on the sharded
-/// engine and sweep only [`LARGE_SHAPES`]: the ring's O(gpus) hop count
-/// would dominate runtime above 16 GPUs without adding signal, while the
-/// switch hierarchy (≤ 3 switch hops at any size) is the shape real
-/// scale-out fabrics take.
+/// Scale-out sizes past the paper's sweep. These sweep only
+/// [`LARGE_SHAPES`]: the ring's O(gpus) hop count would dominate runtime
+/// above 16 GPUs without adding signal, while the switch hierarchy
+/// (≤ 3 switch hops at any size) is the shape real scale-out fabrics
+/// take.
 const LARGE_GPU_COUNTS: [u16; 3] = [32, 64, 128];
 
 /// Shapes swept at the [`LARGE_GPU_COUNTS`] scales: the switch hierarchy
@@ -41,13 +41,6 @@ const LARGE_SHAPES: [TopologyKind; 2] = [
     TopologyKind::FullyConnected,
     TopologyKind::Switch { radix: 4 },
 ];
-
-/// Shards used for the scale-out cells. Four is enough to exercise the
-/// window-synchronized engine (cross-shard mailboxes, lineage-stamp
-/// merges) while staying within the oversubscription clamp on small
-/// hosts; results are bit-identical at any shard count, so this only
-/// affects wall-clock.
-const LARGE_SHARDS: u16 = 4;
 
 /// Remote requests per GPU for one sweep cell: the mode's budget at the
 /// paper scales, scaled down above 16 GPUs so total injected work per
@@ -94,37 +87,44 @@ fn benches(mode: Mode) -> &'static [Benchmark] {
     }
 }
 
-/// One sweep cell: scheme results for `gpus` GPUs on `kind`, summed over
-/// the mode's benchmarks. The scale-out sizes run on the sharded engine
-/// ([`LARGE_SHARDS`]); the paper scales keep the process-wide default
-/// (`MGPU_SHARDS`, single-threaded unless overridden).
-fn sweep_cell(gpus: u16, kind: TopologyKind, mode: Mode) -> Vec<(String, u64, u64, u64)> {
-    let base = base_for(gpus).with_topology(kind);
-    let schemes = scheme_set(&base);
-    let shards = if gpus > 16 {
-        LARGE_SHARDS
-    } else {
-        mgpu_system::default_shards()
-    };
-    let mut out: Vec<(String, u64, u64, u64)> = schemes
+/// One scheme's totals at one sweep point, summed over the mode's
+/// benchmarks: `(label, cycles, total bytes, metadata bytes)`.
+type SchemeTotals = (String, u64, u64, u64);
+
+/// Scheme totals for `gpus` GPUs on each fabric shape in `shapes` (one
+/// vector per shape, schemes in [`scheme_set`] order). Every (shape,
+/// scheme, benchmark) cell of the size runs through the memoised worker
+/// pool at once.
+fn sweep(gpus: u16, shapes: &[TopologyKind], mode: Mode) -> Vec<Vec<SchemeTotals>> {
+    let benches = benches(mode);
+    let per_shape: Vec<Vec<(String, SystemConfig)>> = shapes
         .iter()
-        .map(|(label, _)| (label.clone(), 0, 0, 0))
+        .map(|&kind| scheme_set(&base_for(gpus).with_topology(kind)))
         .collect();
-    for &bench in benches(mode) {
-        let results = compare_schemes_with(
-            bench,
-            &schemes,
-            requests_for(gpus, mode),
-            common::SEED,
-            shards,
-        );
-        for (slot, r) in out.iter_mut().zip(&results) {
-            slot.1 += r.report.total_cycles.as_u64();
-            slot.2 += r.report.traffic.total().as_u64();
-            slot.3 += r.report.traffic.metadata().as_u64();
-        }
-    }
-    out
+    let cells: Vec<Cell> = per_shape
+        .iter()
+        .flatten()
+        .flat_map(|(_, cfg)| benches.iter().map(move |&bench| (cfg.clone(), bench)))
+        .collect();
+    let reports = common::run_many(&cells, requests_for(gpus, mode));
+    let mut reports = reports.iter();
+    per_shape
+        .iter()
+        .map(|schemes| {
+            schemes
+                .iter()
+                .map(|(label, _)| {
+                    let mut totals = (label.clone(), 0, 0, 0);
+                    for r in reports.by_ref().take(benches.len()) {
+                        totals.1 += r.total_cycles.as_u64();
+                        totals.2 += r.traffic.total().as_u64();
+                        totals.3 += r.traffic.metadata().as_u64();
+                    }
+                    totals
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// The `topology_scaling` experiment: GPUs × fabric shape × scheme, with
@@ -157,16 +157,15 @@ pub fn topology_scaling(mode: Mode) -> Vec<Table> {
 /// `shapes`, with metadata amplification computed against the
 /// fully-connected reference of the same size and scheme.
 fn push_scale(table: &mut Table, gpus: u16, shapes: &[TopologyKind], mode: Mode) {
-    // Fully-connected first: the amplification reference.
-    let reference = sweep_cell(gpus, TopologyKind::FullyConnected, mode);
-    for &kind in shapes {
-        let cells = if kind == TopologyKind::FullyConnected {
-            reference.clone()
-        } else {
-            sweep_cell(gpus, kind, mode)
-        };
+    let sweeps = sweep(gpus, shapes, mode);
+    let reference = shapes
+        .iter()
+        .position(|&kind| kind == TopologyKind::FullyConnected)
+        .map(|i| &sweeps[i])
+        .expect("every sweep includes the fully-connected reference");
+    for (&kind, cells) in shapes.iter().zip(&sweeps) {
         for ((label, cycles, total, metadata), (_, _, _, ref_metadata)) in
-            cells.iter().zip(&reference)
+            cells.iter().zip(reference)
         {
             let amp = if *ref_metadata > 0 {
                 *metadata as f64 / *ref_metadata as f64
@@ -230,8 +229,13 @@ pub fn ring8_smoke(mode: Mode) -> Vec<Table> {
 mod tests {
     use super::*;
 
+    /// Scheme totals for one (gpus, kind) point.
+    fn sweep_cell(gpus: u16, kind: TopologyKind, mode: Mode) -> Vec<SchemeTotals> {
+        sweep(gpus, &[kind], mode).remove(0)
+    }
+
     /// Metadata bytes per scheme for one (gpus, kind) point.
-    fn metadata_of(cells: &[(String, u64, u64, u64)], scheme: &str) -> u64 {
+    fn metadata_of(cells: &[SchemeTotals], scheme: &str) -> u64 {
         cells
             .iter()
             .find(|(label, ..)| label == scheme)
@@ -281,7 +285,7 @@ mod tests {
         assert!(csv.contains("ring"));
         assert!(csv.contains("switch-r4"));
         assert!(csv.contains("fully-connected"));
-        // Every scale-out size reports a sharded switch cell per scheme.
+        // Every scale-out size reports a switch cell per scheme.
         for gpus in LARGE_GPU_COUNTS {
             for scheme in ["private", "dynamic", "batching"] {
                 assert!(
@@ -303,7 +307,7 @@ mod tests {
 
     #[test]
     fn scale_out_switch_cell_amplifies_metadata() {
-        // The 32-GPU sharded switch cell must complete and show the same
+        // The 32-GPU switch cell must complete and show the same
         // routed-fabric amplification the paper scales show.
         let fc = sweep_cell(32, TopologyKind::FullyConnected, Mode::Bench);
         let sw = sweep_cell(32, TopologyKind::Switch { radix: 4 }, Mode::Bench);

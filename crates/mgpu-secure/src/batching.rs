@@ -112,8 +112,8 @@ pub struct CloseJitter {
 impl CloseJitter {
     /// The offset applied to the batch `(dst, id)`'s flush deadline:
     /// a SplitMix64 hash of the seed and the batch's stream position,
-    /// reduced into `[0, bound)`. Pure, so the sharded engine computes
-    /// the identical offset without shared state.
+    /// reduced into `[0, bound)`. Pure: the offset depends only on the
+    /// batch's identity, never on when or where it is asked for.
     #[must_use]
     pub fn offset(&self, dst: NodeId, id: BatchId) -> Duration {
         let bound = self.bound.as_u64();

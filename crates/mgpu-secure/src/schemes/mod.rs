@@ -62,11 +62,7 @@ pub struct SendOutcome {
 /// One instance lives in each node's secure NIC. The system model calls
 /// `on_send` when the node encrypts a block for `peer`, and `on_recv` when
 /// a block from `peer` arrives carrying counter `ctr`.
-///
-/// `Send` is a supertrait: the sharded engine moves whole NICs (and the
-/// boxed scheme inside) onto worker threads. Every scheme is plain owned
-/// data, so this costs implementations nothing.
-pub trait OtpScheme: Send {
+pub trait OtpScheme {
     /// Which scheme this is.
     fn kind(&self) -> OtpSchemeKind;
 

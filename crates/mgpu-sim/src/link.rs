@@ -331,9 +331,7 @@ impl Link {
     }
 
     /// Propagation latency of this link — the minimum time any message
-    /// spends in flight, independent of serialization. Conservative
-    /// parallel simulation uses the minimum latency over shard-crossing
-    /// links as its synchronization lookahead.
+    /// spends in flight, independent of serialization.
     #[must_use]
     pub fn latency(&self) -> Duration {
         self.latency

@@ -37,7 +37,6 @@ pub mod node;
 pub mod observer;
 pub mod pacing;
 pub mod runner;
-mod sharded;
 pub mod simulation;
 pub mod timeseries;
 
@@ -49,8 +48,8 @@ pub use observer::{
     circular_error, close_phase, FeatureSet, FeatureVector, NearestCentroid, PassiveObserver,
     PhaseEstimate,
 };
-pub use runner::{compare_schemes, compare_schemes_with, normalized_time, SchemeResult};
-pub use simulation::{default_shards, set_default_shards, Simulation};
+pub use runner::{compare_schemes, normalized_time, SchemeResult};
+pub use simulation::Simulation;
 pub use timeseries::{
     FabricSample, IntervalSample, TimeSeriesCollector, Timeline, TimelineSummary, TraceEvent,
     TraceRecord,

@@ -12,9 +12,9 @@ use mgpu_workloads::Benchmark;
 ///
 /// Each completed request contributes one sample to each vector; the
 /// engine sorts the vectors ascending before publishing the report, so
-/// two engines producing the same multiset of samples produce the same
-/// `Debug` rendering (the sharded-parity tests rely on this). Samples are
-/// in cycles. Latencies are measured from the request's *arrival*
+/// percentile queries are O(1) and the published vectors depend only on
+/// the multiset of samples, not on completion order. Samples are in
+/// cycles. Latencies are measured from the request's *arrival*
 /// (`available_at`) — under open-loop pacing this includes queueing delay
 /// from stalled issue slots, which is exactly the serving-tail signal.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -63,16 +63,6 @@ impl LatencyReport {
         self.total.sort_unstable_by(f64::total_cmp);
         self.first_byte.sort_unstable_by(f64::total_cmp);
         self.service.sort_unstable_by(f64::total_cmp);
-    }
-
-    /// Merges another report into this one (sharded-coordinator fold);
-    /// the result needs a final [`LatencyReport::finish`].
-    pub fn merge(&mut self, other: &LatencyReport) {
-        self.total.extend_from_slice(&other.total);
-        self.first_byte.extend_from_slice(&other.first_byte);
-        self.service.extend_from_slice(&other.service);
-        self.with_deadline += other.with_deadline;
-        self.violations += other.violations;
     }
 
     /// The `p`-th percentile (0–100) of total latency; `None` when no
@@ -288,30 +278,6 @@ mod tests {
         assert!((l.mean_total() - 62.5).abs() < 1e-12);
         assert_eq!(l.total_percentile(100.0), Some(100.0));
         assert_eq!(l.first_byte_percentile(0.0), Some(15.0));
-    }
-
-    #[test]
-    fn latency_merge_matches_single_stream() {
-        let mut a = LatencyReport::default();
-        let mut b = LatencyReport::default();
-        a.record(
-            Cycle::new(0),
-            Cycle::new(0),
-            Cycle::new(9),
-            Cycle::new(9),
-            None,
-        );
-        b.record(
-            Cycle::new(0),
-            Cycle::new(0),
-            Cycle::new(3),
-            Cycle::new(3),
-            None,
-        );
-        a.merge(&b);
-        a.finish();
-        assert_eq!(a.total, vec![3.0, 9.0]);
-        assert_eq!(a.violation_rate(), 0.0);
     }
 
     #[test]

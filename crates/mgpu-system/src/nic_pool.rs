@@ -13,25 +13,20 @@ use crate::node::{PreparedBlock, SecureNic};
 use mgpu_types::{ByteSize, Cycle, DenseNodeMap, NodeId, SystemConfig};
 
 /// A prepared, MAC-carrying block parked until a replay-table entry
-/// frees: its slot in the single-thread engine's in-flight block table.
+/// frees: its slot in the engine's in-flight block table.
 pub type DeferredBlock = u32;
 
 /// Per-node security state for one simulation run.
-///
-/// Generic over the parked-block payload `D`: the single-thread engine
-/// parks in-flight block slots ([`DeferredBlock`], the default), while the sharded engine parks its self-describing
-/// request tokens. Everything except [`NicPool::defer`] /
-/// [`NicPool::release_ack`] is payload-agnostic.
 #[derive(Debug)]
-pub struct NicPool<D = DeferredBlock> {
+pub struct NicPool {
     nics: DenseNodeMap<SecureNic>,
     /// Replay-table (ACK window) credits per sender. Signed: trailer
     /// flushes take a credit unconditionally and may transiently
     /// overdraw. Blocked senders park their prepared blocks here.
-    gate: CreditGate<D>,
+    gate: CreditGate<DeferredBlock>,
 }
 
-impl<D> NicPool<D> {
+impl NicPool {
     /// Builds the pool. With `secure` false no NICs are instantiated
     /// (unsecure baseline), but the ACK-table counters still exist so the
     /// ablation paths can exercise them.
@@ -51,41 +46,6 @@ impl<D> NicPool<D> {
             config.flow.arbitration,
         );
         NicPool { nics, gate }
-    }
-
-    /// Builds a pool whose NICs and ACK windows cover only `owned` (a
-    /// shard's node partition). Scoping the credit gate to owned nodes
-    /// makes the ownership explicit: every ACK-window decision is local
-    /// to the shard that owns the sender, and the balances are handed
-    /// back over the shard boundary by [`NicPool::absorb`] at end of
-    /// run — no shard ever peeks at another's credits.
-    #[must_use]
-    pub fn for_nodes(config: &SystemConfig, secure: bool, owned: &[NodeId]) -> Self {
-        let nics = if secure {
-            owned
-                .iter()
-                .map(|&n| (n, SecureNic::new(n, config)))
-                .collect()
-        } else {
-            DenseNodeMap::new()
-        };
-        let capacity = i64::from(config.security.ack_table_entries);
-        let gate = CreditGate::new(owned.iter().copied(), capacity, config.flow.arbitration);
-        NicPool { nics, gate }
-    }
-
-    /// Takes ownership of `owned`'s per-node state from `other` (a shard
-    /// pool being folded back into the coordinator's merged pool at end of
-    /// run): the NICs move over and the ACK-window credit balances are
-    /// exchanged across the shard boundary. Park queues are not carried
-    /// over: a drained run has no parked blocks left.
-    pub fn absorb<D2>(&mut self, other: &mut NicPool<D2>, owned: &[NodeId]) {
-        for &n in owned {
-            if let Some(nic) = other.nics.remove(n) {
-                self.nics.insert(n, nic);
-            }
-            self.gate.adopt_credit(&other.gate, n);
-        }
     }
 
     /// Nodes with a NIC, in ascending order.
@@ -155,14 +115,14 @@ impl<D> NicPool<D> {
     /// Parks a prepared block at `owner` until a window credit frees.
     /// `priority` is the fixed-priority arbitration key (the originating
     /// request index: lower unparks first); round-robin ignores it.
-    pub fn defer(&mut self, owner: NodeId, priority: u64, block: D) {
+    pub fn defer(&mut self, owner: NodeId, priority: u64, block: DeferredBlock) {
         self.gate.park(owner, priority, block);
     }
 
     /// Releases one replay-table credit at `owner` (its ACK returned)
     /// and unparks the next parked block under the configured
     /// arbitration, if any.
-    pub fn release_ack(&mut self, owner: NodeId) -> Option<D> {
+    pub fn release_ack(&mut self, owner: NodeId) -> Option<DeferredBlock> {
         self.gate.release(owner)
     }
 
@@ -261,7 +221,7 @@ mod tests {
         cfg.security.scheme = OtpSchemeKind::Private;
         cfg.security.ack_table_entries = 1;
         cfg.flow.arbitration = mgpu_types::ArbitrationKind::FixedPriority;
-        let mut p: NicPool = NicPool::new(&cfg, true);
+        let mut p = NicPool::new(&cfg, true);
         let owner = NodeId::gpu(1);
         assert!(p.admit_ack(owner).is_ok());
         // Parked out of request order: fixed priority unparks index 3 first.
@@ -291,7 +251,7 @@ mod tests {
     #[test]
     fn unsecure_pool_has_no_nics_but_keeps_windows() {
         let cfg = SystemConfig::paper_4gpu();
-        let mut p: NicPool = NicPool::new(&cfg, false);
+        let mut p = NicPool::new(&cfg, false);
         assert!(p.owners().is_empty());
         assert!(p.flush_due(NodeId::gpu(1), Cycle::ZERO).is_empty());
         assert!(p.admit_ack(NodeId::gpu(1)).is_ok());

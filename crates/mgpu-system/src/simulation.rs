@@ -39,25 +39,6 @@ use mgpu_types::{
 };
 use mgpu_workloads::{Benchmark, Request, TrafficModel};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU16, Ordering};
-
-/// Process-wide default shard count, set once from `MGPU_SHARDS` by the
-/// experiment runners. Individual simulations override it with
-/// [`Simulation::with_shards`].
-static DEFAULT_SHARDS: AtomicU16 = AtomicU16::new(1);
-
-/// Sets the process-wide default shard (worker-thread) count used by
-/// simulations that do not call [`Simulation::with_shards`]. Values
-/// below 1 are clamped to 1.
-pub fn set_default_shards(shards: u16) {
-    DEFAULT_SHARDS.store(shards.max(1), Ordering::Relaxed);
-}
-
-/// The current process-wide default shard count.
-#[must_use]
-pub fn default_shards() -> u16 {
-    DEFAULT_SHARDS.load(Ordering::Relaxed)
-}
 
 /// A configured, seeded simulation run.
 ///
@@ -79,7 +60,6 @@ pub struct Simulation {
     benchmark: Benchmark,
     params: mgpu_workloads::WorkloadParams,
     seed: u64,
-    shards: Option<u16>,
     open_loop: bool,
 }
 
@@ -223,7 +203,6 @@ impl Simulation {
             benchmark,
             params: benchmark.params(),
             seed,
-            shards: None,
             open_loop: false,
         }
     }
@@ -236,17 +215,6 @@ impl Simulation {
     #[must_use]
     pub fn with_open_loop(mut self) -> Self {
         self.open_loop = true;
-        self
-    }
-
-    /// Overrides the shard (worker-thread) count for this simulation,
-    /// taking precedence over the process-wide default set by
-    /// [`set_default_shards`]. The run is bit-for-bit identical for any
-    /// shard count (see DESIGN.md §11); sharding only changes wall-clock
-    /// time. Values below 1 are clamped to 1.
-    #[must_use]
-    pub fn with_shards(mut self, shards: u16) -> Self {
-        self.shards = Some(shards.max(1));
         self
     }
 
@@ -295,71 +263,12 @@ impl Simulation {
         self.run_requests(queues)
     }
 
-    pub(crate) fn secure(&self) -> bool {
+    fn secure(&self) -> bool {
         self.config.security.scheme != OtpSchemeKind::Unsecure
-    }
-
-    pub(crate) fn benchmark(&self) -> Benchmark {
-        self.benchmark
-    }
-
-    pub(crate) fn is_open_loop(&self) -> bool {
-        self.open_loop
-    }
-
-    /// Per-GPU in-flight limit: the lower of the hardware MLP cap and the
-    /// kernel's achievable memory-level parallelism.
-    pub(crate) fn slots_per_gpu(&self) -> u32 {
-        self.config
-            .max_outstanding
-            .min(self.params.outstanding)
-            .max(1)
-    }
-
-    /// Resolves the shard count this run will actually use. The request
-    /// (`with_shards` override, else the process default) is clamped to
-    /// the node count and forced to 1 where the sharded engine does not
-    /// apply:
-    ///
-    /// * adversarial runs — the wire harness is a single functional
-    ///   pipeline that must observe crossings in global order;
-    /// * constant-rate traffic shaping — each tick tops up every pair's
-    ///   control VC from a global byte-counter view;
-    /// * observability intervals shorter than the lookahead — a sample
-    ///   replica is re-armed one window late, so boundaries must be at
-    ///   least one lookahead apart;
-    /// * zero link latency — the conservative window would be empty.
-    fn effective_shards(&self) -> u16 {
-        let requested = self.shards.unwrap_or_else(default_shards).max(1);
-        let nodes = u16::try_from(self.config.node_count()).unwrap_or(u16::MAX);
-        let mut shards = requested.min(nodes);
-        if self.secure() && self.config.adversary.enabled {
-            shards = 1;
-        }
-        // Constant-rate shaping reads every pair's control-VC counter at
-        // each tick — a global view the per-shard fabric replicas do not
-        // have (jitter needs no such view and shards freely).
-        if self.secure() && self.config.security.defense.constant_rate {
-            shards = 1;
-        }
-        if self.secure()
-            && self.config.observability.enabled
-            && self.config.security.dynamic.interval < self.config.link_latency
-        {
-            shards = 1;
-        }
-        if self.config.link_latency == Duration::ZERO {
-            shards = 1;
-        }
-        shards
     }
 
     #[allow(clippy::too_many_lines)]
     fn run_requests(&self, queues: BTreeMap<NodeId, VecDeque<Request>>) -> RunReport {
-        let shards = self.effective_shards();
-        if shards > 1 {
-            return crate::sharded::run(self, queues, shards);
-        }
         let cfg = &self.config;
         let wire = mgpu_secure::protocol::WireFormat::default();
         let mut fabric = Fabric::new(cfg);
@@ -826,11 +735,8 @@ fn shape_topup(fabric: &mut Fabric, cfg: &SystemConfig, now: Cycle) {
 
 /// Drains every still-open batch at end of run: flushes each owner's
 /// batchers, accounts the trailer and ACK control messages at
-/// `completion`, and records the batch-close trace events. Shared by the
-/// single-thread loop and the sharded coordinator (which runs it on the
-/// merged pool against a fresh fabric — control-VC byte accounting is
-/// state-independent, and post-run arrival times are discarded).
-pub(crate) fn drain_open_batches(
+/// `completion`, and records the batch-close trace events.
+fn drain_open_batches(
     pool: &mut NicPool,
     fabric: &mut Fabric,
     harness: &mut Option<WireHarness>,

@@ -32,7 +32,6 @@
 use crate::fabric::Fabric;
 use crate::nic_pool::NicPool;
 use mgpu_secure::adversary::{FaultKind, SecurityEvent};
-use mgpu_sim::events::Stamp;
 use mgpu_sim::stats::percentile;
 use mgpu_types::{Cycle, Duration, NodeId, ObservabilityConfig};
 use std::collections::{BTreeMap, VecDeque};
@@ -229,21 +228,6 @@ fn node_label(n: NodeId) -> String {
     n.to_string().to_ascii_lowercase()
 }
 
-/// Sort key reproducing the single-thread fabric-row emission order
-/// within one boundary: node-egress ports by node id, then switch-egress
-/// ports by switch id.
-fn port_order(label: &str) -> (u8, u16) {
-    if label == "cpu" {
-        (0, 0)
-    } else if let Some(id) = label.strip_prefix("gpu") {
-        (0, id.parse().unwrap_or(u16::MAX))
-    } else if let Some(id) = label.strip_prefix("switch") {
-        (1, id.parse().unwrap_or(u16::MAX))
-    } else {
-        (2, u16::MAX)
-    }
-}
-
 fn alloc_json(alloc: &BTreeMap<NodeId, u32>) -> String {
     let mut s = String::from("{");
     for (i, (peer, pads)) in alloc.iter().enumerate() {
@@ -395,21 +379,6 @@ pub struct TimeSeriesCollector {
     prev_port_bytes: BTreeMap<String, u64>,
     /// Cumulative control-VC bytes per port label at the last sample.
     prev_port_ctrl_bytes: BTreeMap<String, u64>,
-    /// Node-egress ports this collector samples (`None` = all). Sharded
-    /// runs scope each shard's collector to its owned ports so the merged
-    /// timeline has exactly one row per port per boundary.
-    scope_nodes: Option<Vec<bool>>,
-    /// Switch-egress ports this collector samples (`None` = all).
-    scope_switches: Option<Vec<bool>>,
-    /// Deterministic global-order keys for `trace`, index-aligned with it
-    /// (empty on single-thread runs, which never set a key base). The key
-    /// of a record is the stamp of the event whose handler recorded it,
-    /// plus the record's index within that handler.
-    trace_keys: VecDeque<(Cycle, Stamp, u32)>,
-    /// Stamp of the event currently being handled (sharded engine only).
-    key_base: Option<(Cycle, Stamp)>,
-    /// Records emitted so far by the current handler.
-    key_intra: u32,
 }
 
 impl TimeSeriesCollector {
@@ -430,33 +399,7 @@ impl TimeSeriesCollector {
             prev_rebalances: BTreeMap::new(),
             prev_port_bytes: BTreeMap::new(),
             prev_port_ctrl_bytes: BTreeMap::new(),
-            scope_nodes: None,
-            scope_switches: None,
-            trace_keys: VecDeque::new(),
-            key_base: None,
-            key_intra: 0,
         }
-    }
-
-    /// Restricts fabric-port sampling to the node/switch egress ports
-    /// whose mask entry is `true` (indexed by raw node id / switch id).
-    /// Node *state* rows need no mask: a shard's pool only holds its own
-    /// NICs.
-    #[must_use]
-    pub fn with_scope(mut self, nodes: Vec<bool>, switches: Vec<bool>) -> Self {
-        self.scope_nodes = Some(nodes);
-        self.scope_switches = Some(switches);
-        self
-    }
-
-    /// Sets the global-order key under which subsequent trace records are
-    /// filed: the fire time and [`Stamp`] of the event whose handler is
-    /// about to run. The sharded engine calls this before every handler
-    /// so [`TimeSeriesCollector::merge_shards`] can interleave the
-    /// per-shard traces in exact single-thread order.
-    pub fn set_record_key(&mut self, fire: Cycle, stamp: Stamp) {
-        self.key_base = Some((fire, stamp));
-        self.key_intra = 0;
     }
 
     /// The sampling interval.
@@ -476,15 +419,7 @@ impl TimeSeriesCollector {
     pub fn record_trace(&mut self, cycle: Cycle, event: TraceEvent) {
         if self.trace.len() == self.trace_capacity {
             self.trace.pop_front();
-            if !self.trace_keys.is_empty() {
-                self.trace_keys.pop_front();
-            }
             self.events_dropped += 1;
-        }
-        if let Some((fire, stamp)) = &self.key_base {
-            self.trace_keys
-                .push_back((*fire, stamp.clone(), self.key_intra));
-            self.key_intra += 1;
         }
         self.trace.push_back(TraceRecord { cycle, event });
     }
@@ -519,7 +454,7 @@ impl TimeSeriesCollector {
     /// Takes one sample of every node and fabric port at boundary `now`.
     /// The caller is responsible for having advanced the schemes to the
     /// boundary first (see the module docs on timing neutrality).
-    pub fn sample<D>(&mut self, now: Cycle, pool: &NicPool<D>, fabric: &Fabric) {
+    pub fn sample(&mut self, now: Cycle, pool: &NicPool, fabric: &Fabric) {
         for (node, nic) in pool.iter_nics() {
             let stats = nic.otp_stats();
             let hits = stats.count(mgpu_types::Direction::Send, mgpu_secure::PadClass::Hit)
@@ -568,10 +503,6 @@ impl TimeSeriesCollector {
         }
 
         let topo = fabric.topology();
-        let in_scope = |mask: &Option<Vec<bool>>, idx: usize| {
-            mask.as_ref()
-                .is_none_or(|m| m.get(idx).copied().unwrap_or(false))
-        };
         struct PortStats {
             bytes: u64,
             queue_depth: u64,
@@ -600,7 +531,6 @@ impl TimeSeriesCollector {
         };
         let mut ports: Vec<(String, PortStats)> = topo
             .iter_egress()
-            .filter(|(node, _)| in_scope(&self.scope_nodes, usize::from(node.raw())))
             .map(|(node, server)| {
                 let stats = port_stats(
                     server,
@@ -612,7 +542,6 @@ impl TimeSeriesCollector {
             .collect();
         ports.extend(
             topo.iter_switch_egress()
-                .filter(|(id, _)| in_scope(&self.scope_switches, usize::from(*id)))
                 .map(|(id, server)| (format!("switch{id}"), port_stats(server, 0, 0))),
         );
         for (port, stats) in ports {
@@ -637,53 +566,6 @@ impl TimeSeriesCollector {
                 ctrl_grants: stats.ctrl_grants,
             });
         }
-    }
-
-    /// Merges the scoped per-shard collectors of a sharded run into one
-    /// collector equivalent to the single-thread run's.
-    ///
-    /// * State and port samples are re-sorted into the single-thread
-    ///   emission order: by boundary, then node ascending (state rows) or
-    ///   node-ports-then-switch-ports (fabric rows).
-    /// * Trace records are interleaved by their global-order keys (the
-    ///   creating event's stamp — a total order identical to the
-    ///   single-thread pop order), then re-capped: each shard ring keeps
-    ///   the newest-keyed tail of its own records, so the union's
-    ///   newest-keyed `capacity` records are exactly the single-thread
-    ///   ring's survivors.
-    /// * Scope counts sum; only shard 0 counts `Sample` pops, so the sum
-    ///   matches the single-thread tally.
-    #[must_use]
-    pub fn merge_shards(
-        config: &ObservabilityConfig,
-        interval: Duration,
-        parts: Vec<TimeSeriesCollector>,
-    ) -> TimeSeriesCollector {
-        let mut merged = TimeSeriesCollector::new(config, interval);
-        let mut trace: Vec<((Cycle, Stamp, u32), TraceRecord)> = Vec::new();
-        let mut total_records: u64 = 0;
-        for mut part in parts {
-            merged.samples.append(&mut part.samples);
-            merged.fabric.append(&mut part.fabric);
-            debug_assert_eq!(part.trace.len(), part.trace_keys.len());
-            total_records += part.events_dropped + part.trace.len() as u64;
-            trace.extend(part.trace_keys.drain(..).zip(part.trace.drain(..)));
-            for (name, count) in part.scope_counts {
-                *merged.scope_counts.entry(name).or_insert(0) += count;
-            }
-        }
-        merged.samples.sort_by_key(|s| (s.cycle, s.node));
-        merged
-            .fabric
-            .sort_by_key(|s| (s.cycle, port_order(&s.port)));
-        trace.sort_by(|a, b| a.0.cmp(&b.0));
-        let keep = merged.trace_capacity.min(trace.len());
-        merged.events_dropped = total_records - keep as u64;
-        merged.trace = trace
-            .drain(trace.len() - keep..)
-            .map(|(_, record)| record)
-            .collect();
-        merged
     }
 
     /// Finalizes the collector into the report's [`Timeline`].

@@ -106,31 +106,3 @@ proptest! {
         }
     }
 }
-
-/// The shaped channel must also be identical whether the engine runs
-/// single-threaded or sharded — the constant-rate rule forces the
-/// effective shard count to 1 (the chaff quota needs the global pair
-/// view), so explicit shard requests must change nothing.
-#[test]
-fn shaping_is_shard_invariant() {
-    let mut base = SystemConfig::paper_4gpu();
-    base.observability = ObservabilityConfig::enabled();
-    base.security.dynamic.interval = Duration::cycles(PERIOD);
-    let mut cfg = configs::batching(&base, 4);
-    cfg.security.defense = shaped_defense();
-    let reference = format!(
-        "{:?}",
-        Simulation::new(cfg.clone(), Benchmark::Spmv, 7)
-            .with_shards(1)
-            .run_for_requests(40)
-    );
-    for shards in [2u16, 4] {
-        let sharded = format!(
-            "{:?}",
-            Simulation::new(cfg.clone(), Benchmark::Spmv, 7)
-                .with_shards(shards)
-                .run_for_requests(40)
-        );
-        assert_eq!(reference, sharded, "shaped run diverges at shards={shards}");
-    }
-}

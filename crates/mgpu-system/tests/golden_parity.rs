@@ -110,9 +110,8 @@ fn observability_enabled_changes_no_timing() {
     // The flow-substrate counters ride along in the same samples: every
     // port that moved bytes accumulated arbitration grants, and the ACK
     // gates handed out credits. Occupancy is a boundary snapshot, so it
-    // may legitimately be zero when a boundary lands in an idle gap —
-    // only its consistency (covered by the sharded Debug parity below)
-    // is asserted, not its value.
+    // may legitimately be zero when a boundary lands in an idle gap, so
+    // only grants are asserted, not occupancy values.
     assert!(
         timeline
             .fabric
@@ -133,8 +132,8 @@ fn observability_enabled_changes_no_timing() {
 /// The PR 7 serving path runs open-loop (absolute arrival times) with
 /// per-request deadlines — a different issue cadence from the closed-loop
 /// golden matrix, so it gets its own pinned cell: a seeded Poisson
-/// serving trace under dynamic+batching with observability on, bit-for-bit
-/// at shards {1, 2, 4}. The constants were captured the same way as the
+/// serving trace under dynamic+batching with observability on, pinned
+/// bit for bit. The constants were captured the same way as the
 /// closed-loop matrix; if this test fails, fix the code, do not
 /// re-capture them.
 #[test]
@@ -150,10 +149,9 @@ fn open_loop_serving_cell_stays_bit_for_bit() {
         .with_deadline(Duration::cycles(1_200))
         .generate_all(200);
 
-    let reference = Simulation::new(cfg.clone(), Benchmark::MatrixTranspose, 42)
+    let reference = Simulation::new(cfg, Benchmark::MatrixTranspose, 42)
         .with_open_loop()
-        .with_shards(1)
-        .run_trace(trace.clone());
+        .run_trace(trace);
     assert_eq!(
         reference.total_cycles.as_u64(),
         SERVING_CYCLES,
@@ -175,18 +173,6 @@ fn open_loop_serving_cell_stays_bit_for_bit() {
             .is_some_and(|t| !t.samples.is_empty()),
         "observed serving run attaches interval samples"
     );
-
-    for shards in [2u16, 4] {
-        let sharded = Simulation::new(cfg.clone(), Benchmark::MatrixTranspose, 42)
-            .with_open_loop()
-            .with_shards(shards)
-            .run_trace(trace.clone());
-        assert_eq!(
-            format!("{reference:?}"),
-            format!("{sharded:?}"),
-            "open-loop serving cell diverges at shards={shards}"
-        );
-    }
 }
 
 /// Crypto-backend parity: armed cells — where the wire harness seals,
@@ -244,69 +230,17 @@ fn crypto_backends_reproduce_identical_armed_reports() {
     set_default_backend(auto);
 }
 
-/// The sharded engine is not allowed to be "close": every cell of the
-/// golden matrix must produce a [`RunReport`] whose entire `Debug`
-/// rendering — cycles, bytes, OTP stats, latencies, event counts, and
 /// The traffic-shape defenses ship default-off, and off must mean *off*:
 /// a config that spells out the default [`DefenseConfig`] (rather than
-/// omitting it) replays the golden 12-cell matrix bit for bit at every
-/// shard count. Guards against the chaff scheduling, the jittered
-/// deadline path, or the defense-driven shard clamp leaking into
-/// undefended runs.
+/// omitting it) replays the golden 12-cell matrix bit for bit. Guards
+/// against the chaff scheduling or the jittered deadline path leaking
+/// into undefended runs.
 #[test]
-fn defenses_off_reproduce_golden_matrix_at_all_shard_counts() {
-    use mgpu_system::runner::compare_schemes_with;
+fn defenses_off_reproduce_golden_matrix() {
     use mgpu_types::DefenseConfig;
 
     let mut base = SystemConfig::paper_4gpu();
     base.security.defense = DefenseConfig::default();
     assert!(!base.security.defense.any_enabled());
-    // shards=1: against the golden constants themselves.
     assert_matches_golden(&base, "defenses off");
-    // shards {2, 4}: full-report parity with the single-thread engine.
-    let cfgs = scheme_matrix(&base);
-    for bench in [Benchmark::MatrixTranspose, Benchmark::Spmv] {
-        let reference = compare_schemes_with(bench, &cfgs, 200, 42, 1);
-        for shards in [2u16, 4] {
-            let sharded = compare_schemes_with(bench, &cfgs, 200, 42, shards);
-            for (single, multi) in reference.iter().zip(sharded.iter()) {
-                assert_eq!(
-                    format!("{:?}", single.report),
-                    format!("{:?}", multi.report),
-                    "defenses-off {} / {bench:?} diverges at shards={shards}",
-                    single.label,
-                );
-            }
-        }
-    }
-}
-
-/// (when enabled) the full observability timeline — is identical to the
-/// single-thread engine's, for every shard count and both observability
-/// modes. See DESIGN.md §11 for why this holds by construction.
-#[test]
-fn sharded_engine_matches_single_thread_bit_for_bit() {
-    use mgpu_system::runner::compare_schemes_with;
-    for observability in [false, true] {
-        let mut base = SystemConfig::paper_4gpu();
-        if observability {
-            base.observability = ObservabilityConfig::enabled();
-        }
-        let cfgs = scheme_matrix(&base);
-        for bench in [Benchmark::MatrixTranspose, Benchmark::Spmv] {
-            let reference = compare_schemes_with(bench, &cfgs, 200, 42, 1);
-            for shards in [2u16, 4] {
-                let sharded = compare_schemes_with(bench, &cfgs, 200, 42, shards);
-                for (single, multi) in reference.iter().zip(sharded.iter()) {
-                    assert_eq!(
-                        format!("{:?}", single.report),
-                        format!("{:?}", multi.report),
-                        "{} / {bench:?} diverges at shards={shards}, \
-                         observability={observability}",
-                        single.label,
-                    );
-                }
-            }
-        }
-    }
 }

@@ -569,58 +569,6 @@ impl ObservabilityConfig {
     }
 }
 
-/// Shard-level parallelism for one simulation run.
-///
-/// Deliberately **not** a [`SystemConfig`] field: sharding is an execution
-/// strategy of the engine, not a property of the modeled system. The same
-/// `SystemConfig` must produce bit-identical results at every shard
-/// count, so keeping it out of the config preserves config identity (and
-/// the experiment cache keys derived from it) across shard counts.
-///
-/// # Examples
-///
-/// ```
-/// use mgpu_types::ShardConfig;
-///
-/// assert_eq!(ShardConfig::default().count, 1);
-/// assert_eq!(ShardConfig::new(4).count, 4);
-/// assert!(ShardConfig::new(0).validate().is_err());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ShardConfig {
-    /// Worker shards the engine partitions nodes across. `1` selects the
-    /// single-thread engine; `n > 1` runs `n` shard threads synchronized
-    /// by conservative time windows. Shard counts above the node count
-    /// are clamped by the engine (an empty shard does no work).
-    pub count: u16,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig { count: 1 }
-    }
-}
-
-impl ShardConfig {
-    /// A configuration with `count` shards.
-    #[must_use]
-    pub fn new(count: u16) -> Self {
-        ShardConfig { count }
-    }
-
-    /// Validates the shard count (must be ≥ 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the count is zero.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.count == 0 {
-            return Err(ConfigError::new("shard count must be >= 1"));
-        }
-        Ok(())
-    }
-}
-
 /// Security-layer configuration shared by all schemes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SecurityConfig {

@@ -28,8 +28,8 @@ pub mod units;
 
 pub use config::{
     AdversaryConfig, ArbitrationKind, BatchingConfig, DefenseConfig, DynamicConfig,
-    FlowControlConfig, ObservabilityConfig, OtpSchemeKind, SecurityConfig, ShardConfig,
-    SystemConfig, TopologyKind,
+    FlowControlConfig, ObservabilityConfig, OtpSchemeKind, SecurityConfig, SystemConfig,
+    TopologyKind,
 };
 pub use dense::{DenseNodeMap, PairTable};
 pub use error::{ConfigError, MgpuError};
