@@ -20,6 +20,12 @@
 //! reuses, [`partition`] works in a caller-owned [`Partition`], and the
 //! returned [`Allocation`] is a borrowed view over those buffers. Peer
 //! lookups on the monitoring path are a single dense-table index.
+//!
+//! A *quiet* interval — one in which the node neither sent nor received —
+//! closes in O(1) ([`EwmaAllocator::close_quiet_interval`]): with no
+//! traffic Formulas 1 and 3 leave every weight in place, so Formulas 2
+//! and 4 reproduce the previous allocation and there is nothing to
+//! recompute.
 
 use mgpu_types::{DenseNodeMap, NodeId};
 
@@ -29,6 +35,7 @@ use mgpu_types::{DenseNodeMap, NodeId};
 #[derive(Debug, Clone, Default)]
 pub struct Partition {
     shares: Vec<u32>,
+    /// Each weight's real-valued quota, then its fractional part.
     quotas: Vec<f64>,
     order: Vec<usize>,
 }
@@ -74,17 +81,19 @@ pub fn partition<'a>(total: u32, weights: &[f64], out: &'a mut Partition) -> &'a
     } else {
         quotas.resize(weights.len(), f64::from(total) / weights.len() as f64);
     }
-    shares.extend(quotas.iter().map(|q| q.floor() as u32));
+    // Split each quota into its integer share and, in place, its
+    // fractional remainder, so the ranking below compares stored values.
+    shares.extend(quotas.iter_mut().map(|q| {
+        let whole = q.floor();
+        *q -= whole;
+        whole as u32
+    }));
     let assigned: u32 = shares.iter().sum();
     order.clear();
     order.extend(0..weights.len());
     // Ties break on the index, so the comparator is a total order and an
     // unstable sort yields the same permutation as a stable one.
-    order.sort_unstable_by(|&a, &b| {
-        let fa = quotas[a] - quotas[a].floor();
-        let fb = quotas[b] - quotas[b].floor();
-        fb.total_cmp(&fa).then(a.cmp(&b))
-    });
+    order.sort_unstable_by(|&a, &b| quotas[b].total_cmp(&quotas[a]).then(a.cmp(&b)));
     let mut leftover = total - assigned;
     for &i in order.iter() {
         if leftover == 0 {
@@ -158,6 +167,11 @@ pub struct EwmaAllocator {
     /// Interval counters `SReq^m_i` / `RReq^m_i`.
     send_counts: Vec<u64>,
     recv_counts: Vec<u64>,
+    /// Sum of both counter vectors: zero exactly when the current
+    /// interval has seen no traffic.
+    observed: u64,
+    /// Pool size of the last closed interval (`None` before the first).
+    last_total: Option<u32>,
     /// Guaranteed minimum pads per peer per direction.
     floor: u32,
     intervals: u64,
@@ -205,6 +219,8 @@ impl EwmaAllocator {
             recv_weights: vec![1.0 / n as f64; n],
             send_counts: vec![0; n],
             recv_counts: vec![0; n],
+            observed: 0,
+            last_total: None,
             floor: 0,
             intervals: 0,
             send_pads: Vec::with_capacity(n),
@@ -240,6 +256,7 @@ impl EwmaAllocator {
     pub fn observe_send(&mut self, peer: NodeId) {
         let i = self.peer_index(peer);
         self.send_counts[i] += 1;
+        self.observed += 1;
     }
 
     /// Records one receive request from `peer` in the current interval.
@@ -250,6 +267,7 @@ impl EwmaAllocator {
     pub fn observe_recv(&mut self, peer: NodeId) {
         let i = self.peer_index(peer);
         self.recv_counts[i] += 1;
+        self.observed += 1;
     }
 
     /// Current send-direction weight `S_i`.
@@ -290,6 +308,7 @@ impl EwmaAllocator {
     /// With no registered peers the allocation is trivially empty (and the
     /// interval still counts) — previously this divided by `2 * n == 0`.
     pub fn end_interval(&mut self, total_buffers: u32) -> Allocation<'_> {
+        self.last_total = Some(total_buffers);
         self.send_pads.clear();
         self.recv_pads.clear();
         if self.peers.is_empty() {
@@ -322,6 +341,7 @@ impl EwmaAllocator {
 
         self.send_counts.iter_mut().for_each(|c| *c = 0);
         self.recv_counts.iter_mut().for_each(|c| *c = 0);
+        self.observed = 0;
         self.intervals += 1;
 
         // Reserve the floor, then apply Formula 2 (direction split) and
@@ -346,6 +366,25 @@ impl EwmaAllocator {
             pads.extend(shares.iter().map(|a| a + floor));
         }
         self.allocation()
+    }
+
+    /// Closes the current interval in O(1) if it is *quiet*: no send or
+    /// receive was observed since the last close, and the last close
+    /// partitioned the same `total_buffers`. Returns `false` and changes
+    /// nothing otherwise; the caller then closes it with
+    /// [`EwmaAllocator::end_interval`].
+    ///
+    /// A quiet close is exactly a full one: with every counter at zero the
+    /// `> 0` guards skip Formulas 1 and 3, so `S` and the per-peer weights
+    /// keep their bits, [`partition`] sees the inputs of the last close
+    /// and reproduces its allocation, and the counters are already reset.
+    /// Only the interval count moves.
+    pub fn close_quiet_interval(&mut self, total_buffers: u32) -> bool {
+        if self.observed > 0 || self.last_total != Some(total_buffers) {
+            return false;
+        }
+        self.intervals += 1;
+        true
     }
 
     /// The allocation of the last closed interval.
@@ -376,6 +415,57 @@ mod tests {
         direction
             .find_map(|(p, pads)| (p == peer).then_some(pads))
             .expect("peer registered")
+    }
+
+    /// The largest-remainder split as first written, recomputing each
+    /// fractional part inside the sort comparator: the oracle for the
+    /// stored-remainder ranking in [`partition`].
+    fn partition_recomputing(total: u32, weights: &[f64]) -> Vec<u32> {
+        if weights.is_empty() {
+            return Vec::new();
+        }
+        let clamp = |w: &f64| if w.is_finite() { w.max(0.0) } else { 0.0 };
+        let sum: f64 = weights.iter().map(clamp).sum();
+        let quotas: Vec<f64> = if sum > 0.0 {
+            weights
+                .iter()
+                .map(|w| f64::from(total) * clamp(w) / sum)
+                .collect()
+        } else {
+            vec![f64::from(total) / weights.len() as f64; weights.len()]
+        };
+        let mut shares: Vec<u32> = quotas.iter().map(|q| q.floor() as u32).collect();
+        let mut order: Vec<usize> = (0..weights.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            let fa = quotas[a] - quotas[a].floor();
+            let fb = quotas[b] - quotas[b].floor();
+            fb.total_cmp(&fa).then(a.cmp(&b))
+        });
+        let mut leftover = total - shares.iter().sum::<u32>();
+        for &i in &order {
+            if leftover == 0 {
+                break;
+            }
+            shares[i] += 1;
+            leftover -= 1;
+        }
+        shares
+    }
+
+    #[test]
+    fn quiet_close_needs_a_previous_close_and_no_traffic() {
+        let p = peers();
+        let mut m = EwmaAllocator::new(&p, 0.9, 0.5);
+        assert!(!m.close_quiet_interval(32), "nothing to repeat yet");
+        m.end_interval(32);
+        assert!(m.close_quiet_interval(32));
+        assert_eq!(m.intervals(), 2);
+        m.observe_recv(NodeId::gpu(3));
+        assert!(!m.close_quiet_interval(32), "traffic pending");
+        assert_eq!(m.intervals(), 2);
+        m.end_interval(32);
+        assert!(m.close_quiet_interval(32));
+        assert!(!m.close_quiet_interval(64), "pool changed");
     }
 
     #[test]
@@ -624,6 +714,73 @@ mod tests {
                 let alloc = split(total, &weights);
                 prop_assert_eq!(alloc.iter().sum::<u32>(), total);
                 prop_assert_eq!(alloc.len(), weights.len());
+            }
+
+            #[test]
+            fn stored_remainder_ranking_matches_the_recomputing_comparator(
+                total in 0u32..500,
+                tagged in proptest::collection::vec((0u8..8, 0u8..3, -10.0f64..10.0), 1..12)) {
+                // Ties (a few repeated values), zeros and non-finite
+                // weights next to arbitrary ones.
+                let weights: Vec<f64> = tagged
+                    .into_iter()
+                    .map(|(tag, pick, w)| match tag {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        2 => f64::NEG_INFINITY,
+                        3 => 0.0,
+                        4 => [0.25, 1.0 / 3.0, 2.0][usize::from(pick)],
+                        _ => w,
+                    })
+                    .collect();
+                prop_assert_eq!(split(total, &weights), partition_recomputing(total, &weights));
+            }
+
+            #[test]
+            fn quiet_close_matches_a_full_close_on_a_clone(
+                total in 1u32..256,
+                floor in 0u32..4,
+                history in proptest::collection::vec(
+                    proptest::collection::vec((0usize..4, any::<bool>()), 0..12), 1..24)) {
+                // Each entry is one interval's traffic; an empty one is
+                // quiet. Every boundary is closed both ways on a clone
+                // when quiet, and the states compared bit for bit.
+                let p = vec![NodeId::CPU, NodeId::gpu(2), NodeId::gpu(3), NodeId::gpu(4)];
+                let mut m = EwmaAllocator::new(&p, 0.9, 0.5).with_floor(floor);
+                for (round, traffic) in history.into_iter().enumerate() {
+                    let quiet = round > 0 && traffic.is_empty();
+                    for (peer_idx, is_send) in traffic {
+                        if is_send {
+                            m.observe_send(p[peer_idx]);
+                        } else {
+                            m.observe_recv(p[peer_idx]);
+                        }
+                    }
+                    let mut full = m.clone();
+                    let expected = full.end_interval(total);
+                    let expected = (
+                        expected.send().collect::<Vec<_>>(),
+                        expected.recv().collect::<Vec<_>>(),
+                    );
+                    prop_assert_eq!(m.close_quiet_interval(total), quiet);
+                    if !quiet {
+                        // Not quiet: nothing changed, so close it fully.
+                        prop_assert_eq!(m.intervals(), full.intervals() - 1);
+                        m.end_interval(total);
+                    }
+                    let got = m.allocation();
+                    prop_assert_eq!(
+                        (got.send().collect::<Vec<_>>(), got.recv().collect::<Vec<_>>()),
+                        expected
+                    );
+                    prop_assert_eq!(m.intervals(), full.intervals());
+                    prop_assert_eq!(m.send_weight().to_bits(), full.send_weight().to_bits());
+                    let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(m.send_weights()), bits(full.send_weights()));
+                    prop_assert_eq!(bits(m.recv_weights()), bits(full.recv_weights()));
+                }
+                // A changed pool is never closed quietly.
+                prop_assert!(!m.close_quiet_interval(total + 1));
             }
 
             #[test]

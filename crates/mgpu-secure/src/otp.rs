@@ -517,6 +517,38 @@ mod tests {
             }
 
             #[test]
+            fn every_operation_leaves_the_window_at_or_above_target(
+                depth in 0u32..8,
+                ops in proptest::collection::vec((0u8..4, 0u64..200, 0u64..8), 1..100)) {
+                // The Dynamic scheme skips re-applying an unchanged target
+                // because of this: after any operation the window holds at
+                // least its target, so `set_target` to the current depth
+                // issues no pad generation.
+                let mut e = AesEngine::new(Duration::cycles(40));
+                let mut w = PadWindow::new(depth, Cycle::ZERO, &mut e);
+                let mut now = Cycle::ZERO;
+                for (op, gap, skip) in ops {
+                    now += Duration::cycles(gap);
+                    match op {
+                        0 => {
+                            w.use_pad(now, &mut e);
+                        }
+                        1 => {
+                            w.use_pad_for(w.next_counter() + skip % 2, now, &mut e);
+                        }
+                        2 => {
+                            w.use_pad_at(w.next_counter() + skip, now, &mut e);
+                        }
+                        _ => w.set_target(skip as u32, now, &mut e),
+                    }
+                    prop_assert!(w.buffered() >= w.depth() as usize);
+                    let issued = e.issued();
+                    w.set_target(w.depth(), now, &mut e);
+                    prop_assert_eq!(e.issued(), issued);
+                }
+            }
+
+            #[test]
             fn counters_always_monotonic(
                 gaps in proptest::collection::vec(0u64..200, 1..100)) {
                 let mut e = AesEngine::new(Duration::cycles(40));

@@ -12,6 +12,12 @@
 //!
 //! At kernel launch the allocation is even, "similar to the Private
 //! mechanism", and converges toward the observed communication pattern.
+//!
+//! A boundary closing a quiet interval (the node neither sent nor
+//! received since the last repartition) costs O(1) rather than a walk
+//! over every peer: the allocator reproduces the last allocation
+//! ([`EwmaAllocator::close_quiet_interval`]) and every window already
+//! holds at least its target, so re-applying it would issue nothing.
 
 use super::{OtpScheme, SchemeTelemetry, SendOutcome};
 use crate::ewma::EwmaAllocator;
@@ -90,20 +96,26 @@ impl DynamicScheme {
                 continue;
             }
             self.rate_at_last = Some(window);
-            // All send targets first, then all receive targets, each in
-            // peer order: the order AES-engine work is issued in.
-            let alloc = self.monitor.end_interval(self.total_buffers);
-            for (peer, pads) in alloc.send() {
-                self.send
-                    .get_mut(peer)
-                    .expect("peer window exists")
-                    .set_target(pads, boundary, engine);
-            }
-            for (peer, pads) in alloc.recv() {
-                self.recv
-                    .get_mut(peer)
-                    .expect("peer window exists")
-                    .set_target(pads, boundary, engine);
+            // A quiet close keeps the last allocation, which every window
+            // already carries as its target. Every `PadWindow` operation
+            // leaves at least its target buffered, so `set_target` with
+            // the same depth would issue nothing: skipping it is exact.
+            if !self.monitor.close_quiet_interval(self.total_buffers) {
+                // All send targets first, then all receive targets, each
+                // in peer order: the order AES-engine work is issued in.
+                let alloc = self.monitor.end_interval(self.total_buffers);
+                for (peer, pads) in alloc.send() {
+                    self.send
+                        .get_mut(peer)
+                        .expect("peer window exists")
+                        .set_target(pads, boundary, engine);
+                }
+                for (peer, pads) in alloc.recv() {
+                    self.recv
+                        .get_mut(peer)
+                        .expect("peer window exists")
+                        .set_target(pads, boundary, engine);
+                }
             }
             self.rebalances += 1;
             self.next_boundary = boundary + self.interval;

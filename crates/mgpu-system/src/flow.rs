@@ -15,6 +15,8 @@
 //!   prepared blocks until a credit returns).
 //! * [`WakeupLadder`] — the PR 5 gap-wakeup dedup, extracted: at most
 //!   one timer wakeup armed per node, none lost.
+//! * [`CheckDedup`] — per-node record of the latest pending timer check,
+//!   so a second check for the same node and cycle is never scheduled.
 
 use mgpu_types::{ArbitrationKind, Cycle, DenseNodeMap, NodeId};
 use std::collections::VecDeque;
@@ -232,6 +234,55 @@ impl WakeupLadder {
             false
         }
     }
+
+    /// The cycle of `node`'s armed wakeup, if one is pending.
+    #[must_use]
+    pub fn armed(&self, node: NodeId) -> Option<Cycle> {
+        self.armed[node]
+    }
+}
+
+/// Per-node dedup of timer checks that are idempotent within a cycle
+/// (batch flush checks): remembers the cycle of the check most recently
+/// scheduled for each node until that check fires.
+///
+/// Invariant: a recorded cycle `t` means the check that set it is still
+/// pending — firing at `t` clears the record, and the record only returns
+/// to `t` by scheduling a new check there. So [`CheckDedup::schedule`]
+/// refusing a check for `(node, t)` always leaves an earlier-sequenced
+/// check for `(node, t)` in the queue.
+#[derive(Debug)]
+pub struct CheckDedup {
+    pending: DenseNodeMap<Option<Cycle>>,
+}
+
+impl CheckDedup {
+    /// A dedup with no check pending for any node in `nodes`.
+    #[must_use]
+    pub fn new(nodes: impl Iterator<Item = NodeId>) -> Self {
+        CheckDedup {
+            pending: nodes.map(|n| (n, None)).collect(),
+        }
+    }
+
+    /// Requests a check for `node` at `at`. `true` means the caller must
+    /// schedule it; `false` means the check recorded for `node` is
+    /// pending at that same cycle.
+    pub fn schedule(&mut self, node: NodeId, at: Cycle) -> bool {
+        if self.pending[node] == Some(at) {
+            false
+        } else {
+            self.pending.insert(node, Some(at));
+            true
+        }
+    }
+
+    /// Notes that a check for `node` fired at `now`.
+    pub fn fired(&mut self, node: NodeId, now: Cycle) {
+        if self.pending[node] == Some(now) {
+            self.pending.insert(node, None);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -313,5 +364,42 @@ mod tests {
         // The armed wakeup firing re-arms the node.
         ladder.fired(g1, Cycle::new(10));
         assert!(ladder.arm(g1, Cycle::new(25)));
+    }
+
+    #[test]
+    fn ladder_reports_the_armed_cycle() {
+        let (g1, g2) = (NodeId::gpu(1), NodeId::gpu(2));
+        let mut ladder = WakeupLadder::new(nodes());
+        assert_eq!(ladder.armed(g1), None);
+        assert!(ladder.arm(g1, Cycle::new(10)));
+        assert_eq!(ladder.armed(g1), Some(Cycle::new(10)));
+        assert_eq!(ladder.armed(g2), None, "per node");
+        // A refused arm leaves the earlier wakeup in place.
+        assert!(!ladder.arm(g1, Cycle::new(4)));
+        assert_eq!(ladder.armed(g1), Some(Cycle::new(10)));
+        ladder.fired(g1, Cycle::new(9));
+        assert_eq!(ladder.armed(g1), Some(Cycle::new(10)));
+        ladder.fired(g1, Cycle::new(10));
+        assert_eq!(ladder.armed(g1), None);
+    }
+
+    #[test]
+    fn check_dedup_refuses_only_a_pending_same_cycle_check() {
+        let (g1, g2) = (NodeId::gpu(1), NodeId::gpu(2));
+        let mut checks = CheckDedup::new(nodes());
+        assert!(checks.schedule(g1, Cycle::new(10)));
+        assert!(!checks.schedule(g1, Cycle::new(10)), "same cycle pending");
+        assert!(checks.schedule(g2, Cycle::new(10)), "per node");
+        // A different cycle is scheduled and becomes the record; the
+        // earlier check at 10 is still queued, but a new request for 10
+        // is scheduled again (conservative, never lost).
+        assert!(checks.schedule(g1, Cycle::new(12)));
+        assert!(checks.schedule(g1, Cycle::new(10)));
+        // Firing at the recorded cycle clears it.
+        checks.fired(g1, Cycle::new(10));
+        assert!(checks.schedule(g1, Cycle::new(10)));
+        // Firing at another cycle leaves the record.
+        checks.fired(g1, Cycle::new(12));
+        assert!(!checks.schedule(g1, Cycle::new(10)));
     }
 }

@@ -56,13 +56,15 @@ impl LatencyReport {
         }
     }
 
-    /// Sorts the sample vectors into their canonical ascending order.
-    /// Samples equal under `total_cmp` are bit-identical, so an unstable
-    /// sort produces the same vectors as a stable one.
+    /// Sorts the sample vectors into their canonical ascending order
+    /// under `f64::total_cmp`. Samples equal under `total_cmp` are
+    /// bit-identical, so the result does not depend on the sort used: it
+    /// is a radix sort, since every sample is an integer cycle count.
     pub fn finish(&mut self) {
-        self.total.sort_unstable_by(f64::total_cmp);
-        self.first_byte.sort_unstable_by(f64::total_cmp);
-        self.service.sort_unstable_by(f64::total_cmp);
+        let (mut keys, mut scratch) = (Vec::new(), Vec::new());
+        for samples in [&mut self.total, &mut self.first_byte, &mut self.service] {
+            sort_total_order(samples, &mut keys, &mut scratch);
+        }
     }
 
     /// The `p`-th percentile (0–100) of total latency; `None` when no
@@ -98,6 +100,49 @@ impl LatencyReport {
         } else {
             self.violations as f64 / self.with_deadline as f64
         }
+    }
+}
+
+/// Sorts `samples` ascending under `f64::total_cmp` with an LSD radix
+/// sort of their order-preserving `u64` keys, one pass per byte in which
+/// the keys differ: latency samples are integers far below 2^53, so only
+/// a few bytes of their keys vary. `keys` and `scratch` are working
+/// buffers.
+fn sort_total_order(samples: &mut [f64], keys: &mut Vec<u64>, scratch: &mut Vec<u64>) {
+    const SIGN: u64 = 1 << 63;
+    // The key flips a negative value's bits and sets a non-negative
+    // value's sign bit, so unsigned key order is `total_cmp` order.
+    let (mut any, mut all) = (0u64, u64::MAX);
+    keys.clear();
+    keys.extend(samples.iter().map(|v| {
+        let bits = v.to_bits();
+        let key = if bits & SIGN == 0 { bits | SIGN } else { !bits };
+        any |= key;
+        all &= key;
+        key
+    }));
+    scratch.resize(keys.len(), 0);
+    for shift in (0..64).step_by(8) {
+        if (any ^ all) >> shift & 0xFF == 0 {
+            continue;
+        }
+        let mut next = [0usize; 256];
+        for &k in keys.iter() {
+            next[(k >> shift) as usize & 0xFF] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            (*slot, start) = (start, start + *slot);
+        }
+        for &k in keys.iter() {
+            let digit = (k >> shift) as usize & 0xFF;
+            scratch[next[digit]] = k;
+            next[digit] += 1;
+        }
+        std::mem::swap(keys, scratch);
+    }
+    for (v, &k) in samples.iter_mut().zip(keys.iter()) {
+        *v = f64::from_bits(if k & SIGN == 0 { !k } else { k & !SIGN });
     }
 }
 
@@ -278,6 +323,37 @@ mod tests {
         assert!((l.mean_total() - 62.5).abs() < 1e-12);
         assert_eq!(l.total_percentile(100.0), Some(100.0));
         assert_eq!(l.first_byte_percentile(0.0), Some(15.0));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn radix_sort_matches_total_cmp_sort(
+            tagged in proptest::collection::vec((0u8..9, 0u64..100_000, -1e6f64..1e6), 0..300)) {
+            // Mostly integer cycle counts (with repeats), plus the
+            // values `total_cmp` orders specially: signed zeros,
+            // infinities, NaNs of both signs and fractions, and
+            // neighbours of one value whose keys differ only in their
+            // low bytes.
+            let samples: Vec<f64> = tagged
+                .into_iter()
+                .map(|(tag, cycles, x)| match tag {
+                    0 => -0.0,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => if cycles % 2 == 0 { f64::NAN } else { -f64::NAN },
+                    4 => x,
+                    5 => cycles as f64,
+                    6 => f64::from_bits(2.0f64.to_bits() + cycles % 1024),
+                    _ => (cycles % 512) as f64,
+                })
+                .collect();
+            let mut expected = samples.clone();
+            expected.sort_unstable_by(f64::total_cmp);
+            let mut got = samples;
+            sort_total_order(&mut got, &mut Vec::new(), &mut Vec::new());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&got), bits(&expected));
+        }
     }
 
     #[test]

@@ -101,17 +101,8 @@ impl IssuePacer {
     /// the issued request (a slot credit was consumed); `Err` is the
     /// typed reject telling the caller exactly what re-offers service.
     pub fn poll(&mut self, node: NodeId, now: Cycle) -> Result<Request, Reject> {
-        let Some(front_gap) = self.gaps[node].front().copied() else {
+        let Some(avail) = self.next_eligible(node) else {
             return Err(Reject::Drained);
-        };
-        let avail = match self.mode {
-            PacingMode::ClosedLoop => self.vt[node] + front_gap,
-            PacingMode::OpenLoop => {
-                self.reqs[node]
-                    .front()
-                    .expect("gap implies request")
-                    .available_at
-            }
         };
         if avail > now {
             return Err(Reject::NotBefore(avail));
@@ -126,6 +117,26 @@ impl IssuePacer {
         self.gaps.get_mut(node).expect("gaps exist").pop_front();
         self.vt.insert(node, now);
         Ok(request)
+    }
+
+    /// The cycle at which `node`'s next request becomes eligible to issue,
+    /// or `None` once the node is drained — what [`IssuePacer::poll`]
+    /// checks before taking a slot. Read-only: the answer moves only when
+    /// a request issues (closed loop restarts the gap from the issue
+    /// cycle) and never with the passage of time.
+    #[must_use]
+    #[inline]
+    pub fn next_eligible(&self, node: NodeId) -> Option<Cycle> {
+        let front_gap = self.gaps[node].front().copied()?;
+        Some(match self.mode {
+            PacingMode::ClosedLoop => self.vt[node] + front_gap,
+            PacingMode::OpenLoop => {
+                self.reqs[node]
+                    .front()
+                    .expect("gap implies request")
+                    .available_at
+            }
+        })
     }
 
     /// Returns `node`'s issue-slot credit after one of its requests
@@ -238,6 +249,76 @@ mod tests {
         p.complete(g1);
         assert!(p.poll(g1, Cycle::ZERO).is_ok());
         assert_eq!(p.slot_grants(g1), 2);
+    }
+
+    /// `next_eligible` names the cycle `poll` waits for: `NotBefore` it
+    /// before, an issue at it, and `None` exactly when `poll` says
+    /// `Drained`.
+    fn assert_agrees_with_poll(p: &mut IssuePacer, node: NodeId, now: Cycle) {
+        match p.next_eligible(node) {
+            None => assert_eq!(p.poll(node, now).unwrap_err(), Reject::Drained),
+            Some(avail) if avail > now => {
+                assert_eq!(p.poll(node, now).unwrap_err(), Reject::NotBefore(avail));
+            }
+            Some(_) => assert!(p.poll(node, now).is_ok(), "eligible at {now}"),
+        }
+    }
+
+    #[test]
+    fn next_eligible_agrees_with_poll_in_closed_loop() {
+        let g1 = NodeId::gpu(1);
+        let mut p = IssuePacer::new(
+            queues(vec![
+                Request::direct(Cycle::new(0), g1, NodeId::gpu(2)),
+                Request::direct(Cycle::new(10), g1, NodeId::gpu(3)),
+            ]),
+            4,
+        );
+        assert_eq!(p.next_eligible(g1), Some(Cycle::ZERO));
+        assert_agrees_with_poll(&mut p, g1, Cycle::new(4));
+        // The 10-cycle gap restarts from the issue at 4.
+        assert_eq!(p.next_eligible(g1), Some(Cycle::new(14)));
+        assert_agrees_with_poll(&mut p, g1, Cycle::new(13));
+        assert_eq!(p.next_eligible(g1), Some(Cycle::new(14)));
+        assert_agrees_with_poll(&mut p, g1, Cycle::new(14));
+        assert_eq!(p.next_eligible(g1), None);
+        assert_agrees_with_poll(&mut p, g1, Cycle::new(20));
+    }
+
+    #[test]
+    fn next_eligible_agrees_with_poll_in_open_loop() {
+        let g1 = NodeId::gpu(1);
+        let mut p = IssuePacer::open_loop(
+            queues(vec![
+                Request::direct(Cycle::new(0), g1, NodeId::gpu(2)),
+                Request::direct(Cycle::new(50), g1, NodeId::gpu(2)),
+            ]),
+            4,
+        );
+        assert_agrees_with_poll(&mut p, g1, Cycle::new(30));
+        // Absolute arrivals: the late first issue does not move the second.
+        assert_eq!(p.next_eligible(g1), Some(Cycle::new(50)));
+        assert_agrees_with_poll(&mut p, g1, Cycle::new(49));
+        assert_agrees_with_poll(&mut p, g1, Cycle::new(50));
+        assert_eq!(p.next_eligible(g1), None);
+        assert_agrees_with_poll(&mut p, g1, Cycle::new(60));
+    }
+
+    #[test]
+    fn next_eligible_ignores_slot_credits() {
+        // An eligible request without a free slot is still eligible: the
+        // answer is `AwaitCredit`, not `NotBefore`.
+        let g1 = NodeId::gpu(1);
+        let mut p = IssuePacer::new(
+            queues(vec![
+                Request::direct(Cycle::new(0), g1, NodeId::gpu(2)),
+                Request::direct(Cycle::new(0), g1, NodeId::gpu(2)),
+            ]),
+            1,
+        );
+        assert!(p.poll(g1, Cycle::ZERO).is_ok());
+        assert_eq!(p.next_eligible(g1), Some(Cycle::ZERO));
+        assert_eq!(p.poll(g1, Cycle::ZERO).unwrap_err(), Reject::AwaitCredit);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   topologies; encryption, MACs and replay protection stay end-to-end).
 
 use crate::fabric::{Fabric, HopOutcome, Transit};
-use crate::flow::{Reject, WakeupLadder};
+use crate::flow::{CheckDedup, Reject, WakeupLadder};
 use crate::harness::WireHarness;
 use crate::metrics::RunReport;
 use crate::nic_pool::NicPool;
@@ -322,6 +322,20 @@ impl Simulation {
             events.schedule(Cycle::ZERO + shape_period, Ev::ChaffTick);
         }
 
+        // No-op event elision (DESIGN.md §10): completion polls that
+        // cannot issue and flush checks that duplicate a pending one are
+        // never scheduled. Such an event changes no state; the queue
+        // length is the one place it could still be seen, and only the
+        // Sample and ChaffTick chains read that — so elision is off
+        // while either runs. Flush-check dedup further needs a batch
+        // opened at `t` never to be due at `t`, which holds for the
+        // fixed close policy with a non-zero timeout only.
+        let elide = collector.is_none() && !shaping;
+        let batching = &cfg.security.batching;
+        let mut flush_checks =
+            (elide && !batching.deadline_close && batching.flush_timeout > Duration::ZERO)
+                .then(|| CheckDedup::new(NodeId::all(cfg.gpu_count)));
+
         let mut pending: Vec<Pending> = Vec::new();
         let mut blocks = BlockTable::default();
         let mut completion = Cycle::ZERO;
@@ -410,9 +424,7 @@ impl Simulation {
                             });
                             events.schedule(prep.ready, Ev::BlockEgress(slot));
                         }
-                        if let Some(deadline) = pool.next_flush_deadline(owner) {
-                            events.schedule(deadline.max(now), Ev::FlushCheck(owner));
-                        }
+                        schedule_flush_check(&mut events, &pool, &mut flush_checks, owner, now);
                     } else {
                         for _ in 0..count {
                             let slot = blocks.insert(InFlight {
@@ -531,7 +543,18 @@ impl Simulation {
                         );
                         requests_done += 1;
                         pacer.complete(requester);
-                        events.schedule(now, Ev::TryIssue(requester));
+                        // The completion poll is elided when it could only
+                        // answer `Drained`, or `NotBefore` while a later
+                        // wakeup is armed (which `arm` then refuses).
+                        let idle = match pacer.next_eligible(requester) {
+                            None => true,
+                            Some(avail) => {
+                                avail > now && ladder.armed(requester).is_some_and(|t| t > now)
+                            }
+                        };
+                        if !(elide && idle) {
+                            events.schedule(now, Ev::TryIssue(requester));
+                        }
                     }
                 }
                 Ev::AckArrive(owner) => {
@@ -540,6 +563,9 @@ impl Simulation {
                     }
                 }
                 Ev::FlushCheck(owner) => {
+                    if let Some(checks) = flush_checks.as_mut() {
+                        checks.fired(owner, now);
+                    }
                     let flushed = pool.flush_due(owner, now);
                     for (dst, mac_bytes) in flushed {
                         if let Some(col) = collector.as_mut() {
@@ -567,9 +593,7 @@ impl Simulation {
                             },
                         );
                     }
-                    if let Some(deadline) = pool.next_flush_deadline(owner) {
-                        events.schedule(deadline.max(now), Ev::FlushCheck(owner));
-                    }
+                    schedule_flush_check(&mut events, &pool, &mut flush_checks, owner, now);
                 }
                 Ev::TrailerAck { receiver, owner } => {
                     let ack = pool.ack_bytes(receiver);
@@ -678,6 +702,26 @@ impl Simulation {
             security: harness.map(WireHarness::into_log).unwrap_or_default(),
             timeline: collector.map(TimeSeriesCollector::finish),
             events_processed,
+        }
+    }
+}
+
+/// Schedules a `FlushCheck` for `owner`'s earliest open-batch deadline
+/// (at `now` if already due), unless `checks` holds one pending for that
+/// same cycle: the earlier check flushes everything due then, and nothing
+/// can become due at a cycle once its check has run, so the duplicate
+/// would flush nothing and reschedule an already-pending check.
+fn schedule_flush_check(
+    events: &mut EventQueue<Ev>,
+    pool: &NicPool,
+    checks: &mut Option<CheckDedup>,
+    owner: NodeId,
+    now: Cycle,
+) {
+    if let Some(deadline) = pool.next_flush_deadline(owner) {
+        let at = deadline.max(now);
+        if checks.as_mut().is_none_or(|c| c.schedule(owner, at)) {
+            events.schedule(at, Ev::FlushCheck(owner));
         }
     }
 }

@@ -106,3 +106,22 @@ proptest! {
         }
     }
 }
+
+/// Shaping keeps padding while any event is pending, so it must see the
+/// same queue as before no-op events were elided: in a metadata-free
+/// shaped run nothing but a completion poll can follow the last
+/// completion, and eliding that poll would end the chaff one tick
+/// early. Pinned on one such cell; the byte count is the one the engine
+/// produced before elision existed.
+#[test]
+fn shaping_sees_every_event_elision_would_drop() {
+    let mut cfg = configs::private(&SystemConfig::paper_4gpu(), 4);
+    cfg.security.charge_metadata_traffic = false;
+    cfg.security.defense = DefenseConfig {
+        shape_period: Duration::cycles(7),
+        ..DefenseConfig::constant_rate()
+    };
+    let report = Simulation::new(cfg, Benchmark::MatrixTranspose, 10).run_for_requests(60);
+    assert_eq!(report.total_cycles.as_u64(), 1414);
+    assert_eq!(report.traffic.total().as_u64(), 1_056_640);
+}

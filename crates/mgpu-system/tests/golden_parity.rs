@@ -14,20 +14,56 @@ use mgpu_system::Simulation;
 use mgpu_types::{Duration, ObservabilityConfig, SystemConfig, TopologyKind};
 use mgpu_workloads::{ArrivalProcess, Benchmark, ServingModel};
 
-/// (scheme label, benchmark, total cycles, total wire bytes).
-const GOLDEN: &[(&str, Benchmark, u64, u64)] = &[
-    ("private-4x", Benchmark::MatrixTranspose, 5704, 110_030),
-    ("private-16x", Benchmark::MatrixTranspose, 3412, 110_030),
-    ("shared-4x", Benchmark::MatrixTranspose, 14_504, 110_030),
-    ("cached-4x", Benchmark::MatrixTranspose, 5145, 110_030),
-    ("dynamic-4x", Benchmark::MatrixTranspose, 5210, 110_030),
-    ("batching-4x", Benchmark::MatrixTranspose, 4265, 89_531),
-    ("private-4x", Benchmark::Spmv, 3844, 96_800),
-    ("private-16x", Benchmark::Spmv, 2440, 96_800),
-    ("shared-4x", Benchmark::Spmv, 10_299, 96_800),
-    ("cached-4x", Benchmark::Spmv, 3456, 96_800),
-    ("dynamic-4x", Benchmark::Spmv, 3582, 96_800),
-    ("batching-4x", Benchmark::Spmv, 3676, 79_275),
+/// (scheme label, benchmark, total cycles, total wire bytes, events
+/// processed by an unobserved run).
+///
+/// The event counts are not model output: they pin how much work the
+/// engine does for the same simulated system, so a change that adds or
+/// elides events shows up here in review while the cycle and byte
+/// columns must not move with it.
+const GOLDEN: &[(&str, Benchmark, u64, u64, u64)] = &[
+    (
+        "private-4x",
+        Benchmark::MatrixTranspose,
+        5704,
+        110_030,
+        8664,
+    ),
+    (
+        "private-16x",
+        Benchmark::MatrixTranspose,
+        3412,
+        110_030,
+        8660,
+    ),
+    (
+        "shared-4x",
+        Benchmark::MatrixTranspose,
+        14_504,
+        110_030,
+        8519,
+    ),
+    ("cached-4x", Benchmark::MatrixTranspose, 5145, 110_030, 8683),
+    (
+        "dynamic-4x",
+        Benchmark::MatrixTranspose,
+        5210,
+        110_030,
+        8658,
+    ),
+    (
+        "batching-4x",
+        Benchmark::MatrixTranspose,
+        4265,
+        89_531,
+        7141,
+    ),
+    ("private-4x", Benchmark::Spmv, 3844, 96_800, 7838),
+    ("private-16x", Benchmark::Spmv, 2440, 96_800, 7833),
+    ("shared-4x", Benchmark::Spmv, 10_299, 96_800, 7858),
+    ("cached-4x", Benchmark::Spmv, 3456, 96_800, 7887),
+    ("dynamic-4x", Benchmark::Spmv, 3582, 96_800, 7837),
+    ("batching-4x", Benchmark::Spmv, 3676, 79_275, 6655),
 ];
 
 fn scheme_matrix(base: &SystemConfig) -> Vec<(String, SystemConfig)> {
@@ -41,13 +77,15 @@ fn scheme_matrix(base: &SystemConfig) -> Vec<(String, SystemConfig)> {
     ]
 }
 
+/// Checks the matrix under `base` against [`GOLDEN`]; the event column
+/// only for unobserved runs, since sampling adds events of its own.
 fn assert_matches_golden(base: &SystemConfig, context: &str) {
     let cfgs = scheme_matrix(base);
     for bench in [Benchmark::MatrixTranspose, Benchmark::Spmv] {
         for r in compare_schemes(bench, &cfgs, 200, 42) {
-            let (_, _, cycles, bytes) = *GOLDEN
+            let (_, _, cycles, bytes, events) = *GOLDEN
                 .iter()
-                .find(|(label, b, _, _)| *label == r.label && *b == bench)
+                .find(|(label, b, ..)| *label == r.label && *b == bench)
                 .unwrap_or_else(|| panic!("no golden entry for {} / {bench:?}", r.label));
             assert_eq!(
                 r.report.total_cycles.as_u64(),
@@ -61,6 +99,13 @@ fn assert_matches_golden(base: &SystemConfig, context: &str) {
                 "{context}: {} / {bench:?}: wire-byte drift",
                 r.label
             );
+            if !base.observability.enabled {
+                assert_eq!(
+                    r.report.events_processed, events,
+                    "{context}: {} / {bench:?}: engine event count moved",
+                    r.label
+                );
+            }
         }
     }
 }
@@ -140,6 +185,9 @@ fn observability_enabled_changes_no_timing() {
 fn open_loop_serving_cell_stays_bit_for_bit() {
     const SERVING_CYCLES: u64 = 3_087;
     const SERVING_BYTES: u64 = 82_225;
+    // Engine work, not model output (see `GOLDEN`). Observed runs elide
+    // no events, so this count includes every `Sample`.
+    const SERVING_EVENTS: u64 = 16_818;
 
     let mut base = SystemConfig::paper_4gpu();
     base.observability = ObservabilityConfig::enabled();
@@ -161,6 +209,10 @@ fn open_loop_serving_cell_stays_bit_for_bit() {
         reference.traffic.total().as_u64(),
         SERVING_BYTES,
         "open-loop serving cell: wire-byte drift"
+    );
+    assert_eq!(
+        reference.events_processed, SERVING_EVENTS,
+        "open-loop serving cell: engine event count moved"
     );
     assert!(
         reference.latency.with_deadline > 0,

@@ -119,6 +119,7 @@ impl PairId {
     ///
     /// Panics if `src == dst`; a node never encrypts traffic to itself.
     #[must_use]
+    #[inline]
     pub fn new(src: NodeId, dst: NodeId) -> Self {
         assert_ne!(src, dst, "communication pair must connect distinct nodes");
         PairId { src, dst }
